@@ -2,8 +2,8 @@
 // internal/server on a real TCP listener, drives it with HTTP clients,
 // and emits BENCH_serving.json. Where cmd/serveload measures the
 // engine's in-process concurrency, netload measures what a front-end
-// fleet actually sees — JSON encode/decode, socket hops, the coalescing
-// batcher, the delta-invalidated cache, and the load shedder.
+// fleet actually sees — JSON encode/decode, socket hops, the
+// delta-invalidated cache, and the load shedder.
 //
 // Two phases:
 //
@@ -11,8 +11,7 @@
 //     /observe while -readers clients issue GET /recommend over a hot
 //     user set, each waiting for its response before sending the next.
 //     Reports sustained throughput and client-side p50/p90/p99 from a
-//     uniform reservoir, plus the server's cache hit ratio and batch
-//     coalescing stats.
+//     uniform reservoir, plus the server's cache hit ratio.
 //  2. Open loop (overload): requests are issued on a fixed schedule at
 //     -overload-factor times the measured closed-loop read throughput,
 //     whether or not earlier requests have completed — the flash-crowd
@@ -169,8 +168,7 @@ func main() {
 
 	preSnap := snapshotHists(engineHists)
 	closed := runClosedLoop(base, test, *readers, *writers, *k, now, hot, *duration, *seed)
-	closedSnap := srv.Metrics()
-	fillCacheStats(&closed, closedSnap)
+	fillCacheStats(&closed, srv.Metrics())
 	engineP99 := time.Duration(deltaP99(preSnap, snapshotHists(engineHists)))
 	hs.Close()
 	srv.Close()
@@ -222,7 +220,7 @@ func main() {
 			rep.LeaderQPS, rep.FollowerQPS, rep.AggregateQPS, rep.WriteQPS, rep.FollowerApplied, rep.FollowerLag)
 	}
 
-	report := buildReport(*users, *seed, *shards, *readers, *writers, *k, closed, closedSnap, over)
+	report := buildReport(*users, *seed, *shards, *readers, *writers, *k, closed, over)
 	report.CalP99Us = float64(calP99.Microseconds())
 	report.ReplicaReads = rep
 	b, err := json.MarshalIndent(report, "", "  ")
@@ -713,12 +711,6 @@ func runReplicaPhase(ds *repro.Dataset, eopts repro.EngineOptions, test []repro.
 	}
 }
 
-type batchStats struct {
-	Flushes   uint64  `json:"flushes"`
-	Coalesced uint64  `json:"coalesced"`
-	MeanSize  float64 `json:"mean_size"`
-}
-
 type report struct {
 	GeneratedAt  string          `json:"generated_at"`
 	GoVersion    string          `json:"go_version"`
@@ -732,7 +724,6 @@ type report struct {
 	K            int             `json:"k"`
 	CalP99Us     float64         `json:"calibration_read_p99_us"`
 	ClosedLoop   closedResult    `json:"closed_loop"`
-	Batch        batchStats      `json:"batch"`
 	Overload     *overloadResult `json:"overload,omitempty"`
 	ReplicaReads *replicaResult  `json:"replica_reads,omitempty"`
 }
@@ -749,13 +740,7 @@ func fillCacheStats(closed *closedResult, snap metrics.Snapshot) {
 	}
 }
 
-func buildReport(users int, seed uint64, shards, readers, writers, k int, closed closedResult, snap metrics.Snapshot, over *overloadResult) report {
-	var batch batchStats
-	batch.Flushes = snap.Counters["server/batch/flushes"]
-	batch.Coalesced = snap.Counters["server/batch/coalesced"]
-	if h, ok := snap.Histograms["server/batch/size"]; ok {
-		batch.MeanSize = h.Mean()
-	}
+func buildReport(users int, seed uint64, shards, readers, writers, k int, closed closedResult, over *overloadResult) report {
 	return report{
 		GeneratedAt: time.Now().UTC().Format(time.RFC3339),
 		GoVersion:   runtime.Version(),
@@ -768,7 +753,6 @@ func buildReport(users int, seed uint64, shards, readers, writers, k int, closed
 		Writers:     writers,
 		K:           k,
 		ClosedLoop:  closed,
-		Batch:       batch,
 		Overload:    over,
 	}
 }

@@ -1,7 +1,6 @@
 package repro
 
 import (
-	"errors"
 	"fmt"
 	"sort"
 	"sync"
@@ -10,7 +9,6 @@ import (
 
 	"repro/internal/bubbles"
 	"repro/internal/community"
-
 	"repro/internal/dataset"
 	"repro/internal/durable"
 	"repro/internal/ids"
@@ -230,7 +228,6 @@ type Engine struct {
 	// and MetricsRegistry().
 	metrics       *metrics.Registry
 	mRecommendLat *metrics.Histogram // engine/recommend/latency_ns
-	mObserveLat   *metrics.Histogram // engine/observe/latency_ns (lock hold + durability wait)
 	mRefreshBuild *metrics.Histogram // engine/refresh/build_ns (graph construction)
 	mRefreshLock  *metrics.Histogram // engine/refresh/lock_hold_ns (exclusive delta-replay+swap)
 	mWriteStall   *metrics.Histogram // engine/refresh/write_stall_ns (read-locked phase; writers excluded)
@@ -308,7 +305,6 @@ func newEngineCore(ds *Dataset, opts EngineOptions) (*Engine, error) {
 	e.walBuf, _ = e.wal.(bufferedLog)
 	e.metrics = metrics.NewRegistry()
 	e.mRecommendLat = e.metrics.Histogram("engine/recommend/latency_ns")
-	e.mObserveLat = e.metrics.Histogram("engine/observe/latency_ns")
 	e.mRefreshBuild = e.metrics.Histogram("engine/refresh/build_ns")
 	e.mRefreshLock = e.metrics.Histogram("engine/refresh/lock_hold_ns")
 	e.mWriteStall = e.metrics.Histogram("engine/refresh/write_stall_ns")
@@ -427,11 +423,11 @@ func (e *Engine) Clusters() *community.Embeddings { return e.clusters.Load() }
 
 // Observe streams one retweet into the engine: it updates the user's
 // profile, re-propagates the tweet's share probabilities over the
-// similarity graph, and refreshes candidate pools. Observe is a writer:
-// it excludes concurrent readers for the duration of the propagation —
-// but not for the WAL durability wait, which runs after the lock is
-// released (see below), so with WALSyncAlways a slow fsync delays only
-// this writer.
+// similarity graph, and refreshes candidate pools. It is a one-action
+// ObserveBatch, so it shares that method's write path: readers are
+// excluded for the propagation but not for the WAL durability wait,
+// which runs after the lock is released, so with WALSyncAlways a slow
+// fsync delays only this writer.
 //
 // A nil error means the action was applied (and logged, when a WAL is
 // attached). An error wrapping ErrWALRecordLogged means the record
@@ -440,53 +436,7 @@ func (e *Engine) Clusters() *community.Embeddings { return e.clusters.Load() }
 // the apply would let live and recovered state diverge. Any other error
 // means the action was neither logged nor applied.
 func (e *Engine) Observe(u UserID, t TweetID, at Timestamp) error {
-	if err := validateIDs(e.ds, u, t); err != nil {
-		return err
-	}
-	a := Action{User: u, Tweet: t, Time: at}
-	start := time.Now()
-	// The latency histogram reads the full write path: lock hold plus,
-	// for SyncAlways logs, the post-unlock durability wait.
-	defer func() {
-		e.mObserveLat.ObserveDuration(time.Since(start))
-		e.mObserves.Inc()
-	}()
-	var walErr error
-	e.mu.Lock()
-	if e.wal != nil {
-		// WAL-before-apply: an append that never reached the log rejects
-		// the action, so the log never trails the applied state. The
-		// buffered form defers the fsync wait past the unlock.
-		var err error
-		if e.walBuf != nil {
-			_, err = e.walBuf.AppendBuffered(a)
-		} else {
-			_, err = e.wal.Append(a)
-		}
-		if err != nil {
-			if !errors.Is(err, ErrWALRecordLogged) {
-				e.mu.Unlock()
-				return fmt.Errorf("repro: WAL append: %w", err)
-			}
-			e.mWALDegraded.Inc()
-			walErr = fmt.Errorf("repro: WAL degraded (action applied and logged): %w", err)
-		}
-	}
-	e.observed = append(e.observed, a)
-	if at > e.observedNewest {
-		e.observedNewest = at
-	}
-	e.mObservedLen.Set(int64(len(e.observed)))
-	e.store.Observe(u, t)
-	e.rec.Observe(a)
-	e.mu.Unlock()
-	if walErr == nil && e.walBuf != nil {
-		if err := e.walBuf.SyncAfterAppend(); err != nil {
-			e.mWALDegraded.Inc()
-			walErr = fmt.Errorf("repro: WAL degraded (action applied and logged): %w", err)
-		}
-	}
-	return walErr
+	return e.ObserveBatch([]Action{{User: u, Tweet: t, Time: at}})[0]
 }
 
 // Recommend returns up to k fresh recommendations for u at time now,
@@ -1051,17 +1001,19 @@ func (e *Engine) ColdStartUsers() []UserID {
 }
 
 // BubbleAssignment maps users to information bubbles — densely connected
-// regions of the similarity graph (§7 future work).
-type BubbleAssignment = bubbles.Assignment
+// regions of the similarity graph (§7 future work). A user's bubble is
+// its community label (Label), community.NoCluster for none.
+type BubbleAssignment = community.Embeddings
 
 // DetectBubbles identifies information bubbles in the current similarity
-// graph with label propagation and returns the assignment plus its
-// weighted modularity (higher = stronger bubble structure).
+// graph — its communities, found by label propagation — and returns the
+// assignment plus its weighted modularity (higher = stronger bubble
+// structure).
 func (e *Engine) DetectBubbles() (*BubbleAssignment, float64) {
 	e.mu.RLock()
 	g := e.rec.Graph()
 	e.mu.RUnlock()
-	a := bubbles.Detect(g, bubbles.DefaultConfig())
+	a := community.Detect(g, e.ds.Graph, community.DefaultConfig())
 	return a, bubbles.Modularity(g, a)
 }
 

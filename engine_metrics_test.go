@@ -40,8 +40,13 @@ func TestEngineMetricsSnapshot(t *testing.T) {
 	eng.RefreshGraph(UpdateWeights)
 
 	snap := eng.Metrics()
-	if got := snap.Histogram("engine/observe/latency_ns").Count; got != uint64(len(test)) {
-		t.Errorf("observe latency count = %d, want %d", got, len(test))
+	// Observe is a one-action ObserveBatch: one batch and one batch
+	// latency sample per action.
+	if got := snap.Histogram("engine/observe/batch_ns").Count; got != uint64(len(test)) {
+		t.Errorf("observe batch latency count = %d, want %d", got, len(test))
+	}
+	if got := snap.Counter("engine/observe/batches"); got != uint64(len(test)) {
+		t.Errorf("observe batches = %d, want %d", got, len(test))
 	}
 	if got := snap.Histogram("engine/recommend/latency_ns").Count; got != uint64(recommends) {
 		t.Errorf("recommend latency count = %d, want %d", got, recommends)

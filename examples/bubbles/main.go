@@ -32,9 +32,9 @@ func main() {
 
 	assignment, modularity := eng.DetectBubbles()
 	fmt.Printf("similarity graph has %d bubbles (modularity %.3f)\n",
-		assignment.NumBubbles(), modularity)
-	for b := int32(0); b < int32(min(5, assignment.NumBubbles())); b++ {
-		fmt.Printf("  bubble %d: %d users\n", b, assignment.Sizes[b])
+		assignment.NumClusters(), modularity)
+	for b := int32(0); b < int32(min(5, assignment.NumClusters())); b++ {
+		fmt.Printf("  bubble %d: %d users\n", b, assignment.ClusterSize(b))
 	}
 
 	// Warm the engine with half of the test stream.
@@ -53,7 +53,7 @@ func main() {
 		}
 		diverse := eng.RecommendDiverse(assignment, u, 8, now, 0.5)
 		shown++
-		fmt.Printf("\nuser %d (bubble %d)\n", u, assignment.Of(u))
+		fmt.Printf("\nuser %d (bubble %d)\n", u, assignment.Label(u))
 		fmt.Printf("  plain:   %s\n", describe(ds, assignment, plain))
 		fmt.Printf("  diverse: %s\n", describe(ds, assignment, diverse))
 	}
@@ -68,7 +68,7 @@ func describe(ds *repro.Dataset, a *repro.BubbleAssignment, recs []repro.Recomme
 	counts := map[int32]int{}
 	s := ""
 	for i, r := range recs {
-		b := a.Of(ds.Tweets[r.Tweet].Author)
+		b := a.Label(ds.Tweets[r.Tweet].Author)
 		counts[b]++
 		if i > 0 {
 			s += " "

@@ -108,9 +108,9 @@ func (r *Recommender) Name() string { return "Bayes" }
 func (r *Recommender) Init(ctx *recsys.Context) error {
 	r.ds = ctx.Dataset
 	r.follow = ctx.Dataset.Graph
-	r.pool = recsys.NewPool(ctx.Tracked, func(t ids.TweetID) ids.Timestamp {
+	r.pool = recsys.NewPoolFor(ctx, func(t ids.TweetID) ids.Timestamp {
 		return r.ds.Tweets[t].Time
-	}, ctx.MaxAge)
+	})
 	r.posts = make(map[ids.TweetID]map[ids.UserID]float64)
 	r.maxAge = ctx.MaxAge
 	r.evictQueue = nil

@@ -8,174 +8,26 @@
 // graph" and proposes a complementary score to escape information
 // locality.
 //
-// Detection uses asynchronous label propagation over the undirected
-// projection of the similarity graph, with edge weights as propagation
-// strength: simple, near-linear, and deterministic given the seed, which
-// matches the rest of the repository. Quality is quantified with weighted
+// Bubbles are the communities of internal/community: a user's bubble is
+// its hard label (Embeddings.Label), and users with no similarity edge
+// sit in no bubble (community.NoCluster). Influence stays inside
+// communities, so the structure that prunes the graph build is the one
+// that bounds information locality. Quality is quantified with weighted
 // modularity. The Diversifier then re-ranks any recommender's output to
 // cap the share of a single bubble in the top-k.
 package bubbles
 
 import (
-	"sort"
-
+	"repro/internal/community"
 	"repro/internal/ids"
 	"repro/internal/wgraph"
-	"repro/internal/xrand"
 )
 
-// NoBubble marks users outside every bubble (no similarity edges).
-const NoBubble = int32(-1)
-
-// Assignment maps every user to a bubble.
-type Assignment struct {
-	// Label[u] is u's bubble ID, dense in [0, NumBubbles), or NoBubble.
-	Label []int32
-	// Sizes[b] is the member count of bubble b.
-	Sizes []int32
-}
-
-// NumBubbles returns the number of detected bubbles.
-func (a *Assignment) NumBubbles() int { return len(a.Sizes) }
-
-// Of returns u's bubble, or NoBubble.
-func (a *Assignment) Of(u ids.UserID) int32 {
-	if int(u) >= len(a.Label) {
-		return NoBubble
-	}
-	return a.Label[u]
-}
-
-// Members returns the users of bubble b, ascending.
-func (a *Assignment) Members(b int32) []ids.UserID {
-	var out []ids.UserID
-	for u, l := range a.Label {
-		if l == b {
-			out = append(out, ids.UserID(u))
-		}
-	}
-	return out
-}
-
-// Config tunes detection.
-type Config struct {
-	// MaxIterations bounds the label-propagation rounds.
-	MaxIterations int
-	// MinSize merges bubbles smaller than this into NoBubble (they carry
-	// no locality risk).
-	MinSize int
-	// Seed orders the asynchronous updates deterministically.
-	Seed uint64
-}
-
-// DefaultConfig returns the experiment configuration.
-func DefaultConfig() Config {
-	return Config{MaxIterations: 32, MinSize: 3, Seed: 1}
-}
-
-// Detect runs weighted label propagation over the similarity graph.
-func Detect(g *wgraph.Graph, cfg Config) *Assignment {
-	if cfg.MaxIterations <= 0 {
-		cfg.MaxIterations = 32
-	}
-	n := g.NumNodes()
-	label := make([]int32, n)
-	active := make([]bool, n)
-	for u := 0; u < n; u++ {
-		label[u] = int32(u)
-		active[u] = g.OutDegree(ids.UserID(u)) > 0 || g.InDegree(ids.UserID(u)) > 0
-	}
-
-	rng := xrand.New(cfg.Seed)
-	order := rng.Perm(n)
-	weight := make(map[int32]float64, 16)
-
-	for iter := 0; iter < cfg.MaxIterations; iter++ {
-		changed := 0
-		for _, ui := range order {
-			u := ids.UserID(ui)
-			if !active[ui] {
-				continue
-			}
-			clear(weight)
-			to, w := g.Out(u)
-			for i, v := range to {
-				weight[label[v]] += float64(w[i])
-			}
-			from, wi := g.In(u)
-			for i, v := range from {
-				weight[label[v]] += float64(wi[i])
-			}
-			best, bestW := label[ui], weight[label[ui]]
-			// Deterministic tie-break: highest weight, then lowest label.
-			keys := make([]int32, 0, len(weight))
-			for l := range weight {
-				keys = append(keys, l)
-			}
-			sort.Slice(keys, func(i, j int) bool { return keys[i] < keys[j] })
-			for _, l := range keys {
-				if lw := weight[l]; lw > bestW || (lw == bestW && l < best) {
-					best, bestW = l, lw
-				}
-			}
-			if best != label[ui] {
-				label[ui] = best
-				changed++
-			}
-		}
-		if changed == 0 {
-			break
-		}
-	}
-
-	return compact(label, active, cfg.MinSize)
-}
-
-// compact renumbers labels densely, dropping inactive users and bubbles
-// below MinSize.
-func compact(label []int32, active []bool, minSize int) *Assignment {
-	counts := make(map[int32]int32)
-	for u, l := range label {
-		if active[u] {
-			counts[l]++
-		}
-	}
-	remap := make(map[int32]int32)
-	var sizes []int32
-	keys := make([]int32, 0, len(counts))
-	for l := range counts {
-		keys = append(keys, l)
-	}
-	sort.Slice(keys, func(i, j int) bool {
-		return counts[keys[i]] > counts[keys[j]] || (counts[keys[i]] == counts[keys[j]] && keys[i] < keys[j])
-	})
-	for _, l := range keys {
-		if int(counts[l]) < minSize {
-			continue
-		}
-		remap[l] = int32(len(sizes))
-		sizes = append(sizes, counts[l])
-	}
-	out := &Assignment{Label: make([]int32, len(label)), Sizes: sizes}
-	for u := range label {
-		if !active[u] {
-			out.Label[u] = NoBubble
-			continue
-		}
-		if nl, ok := remap[label[u]]; ok {
-			out.Label[u] = nl
-		} else {
-			out.Label[u] = NoBubble
-		}
-	}
-	return out
-}
-
-// Modularity computes the weighted directed modularity of an assignment
-// over the similarity graph — the standard quality measure: the fraction
-// of edge weight inside bubbles minus the expectation under a random
-// rewiring with the same degree sequence.
-func Modularity(g *wgraph.Graph, a *Assignment) float64 {
+// Modularity computes the weighted directed modularity of a community
+// labelling over the similarity graph — the standard quality measure:
+// the fraction of edge weight inside bubbles minus the expectation under
+// a random rewiring with the same degree sequence.
+func Modularity(g *wgraph.Graph, a *community.Embeddings) float64 {
 	var total float64
 	outW := make([]float64, g.NumNodes())
 	inW := make([]float64, g.NumNodes())
@@ -192,22 +44,22 @@ func Modularity(g *wgraph.Graph, a *Assignment) float64 {
 	}
 	var q float64
 	for u := 0; u < g.NumNodes(); u++ {
-		lu := a.Of(ids.UserID(u))
-		if lu == NoBubble {
+		lu := a.Label(ids.UserID(u))
+		if lu == community.NoCluster {
 			continue
 		}
 		to, w := g.Out(ids.UserID(u))
 		for i, v := range to {
-			if a.Of(v) == lu {
+			if a.Label(v) == lu {
 				q += float64(w[i]) / total
 			}
 		}
 	}
 	// Expected in-bubble weight under the configuration model.
-	sumOut := make([]float64, a.NumBubbles())
-	sumIn := make([]float64, a.NumBubbles())
+	sumOut := make([]float64, a.NumClusters())
+	sumIn := make([]float64, a.NumClusters())
 	for u := 0; u < g.NumNodes(); u++ {
-		if l := a.Of(ids.UserID(u)); l != NoBubble {
+		if l := a.Label(ids.UserID(u)); l != community.NoCluster {
 			sumOut[l] += outW[u]
 			sumIn[l] += inW[u]
 		}
@@ -216,35 +68,4 @@ func Modularity(g *wgraph.Graph, a *Assignment) float64 {
 		q -= (sumOut[b] / total) * (sumIn[b] / total)
 	}
 	return q
-}
-
-// LocalityReport quantifies how bubble-bound a recommendation list is.
-type LocalityReport struct {
-	// SameBubble is the fraction of recommended tweets authored inside
-	// the user's own bubble.
-	SameBubble float64
-	// DistinctBubbles is the number of different bubbles represented.
-	DistinctBubbles int
-}
-
-// Locality reports the bubble composition of a recommendation list for
-// user u, given each tweet's author.
-func Locality(a *Assignment, u ids.UserID, authors []ids.UserID) LocalityReport {
-	var rep LocalityReport
-	if len(authors) == 0 {
-		return rep
-	}
-	own := a.Of(u)
-	seen := map[int32]struct{}{}
-	same := 0
-	for _, author := range authors {
-		b := a.Of(author)
-		seen[b] = struct{}{}
-		if b == own && b != NoBubble {
-			same++
-		}
-	}
-	rep.SameBubble = float64(same) / float64(len(authors))
-	rep.DistinctBubbles = len(seen)
-	return rep
 }

@@ -3,6 +3,7 @@ package bubbles
 import (
 	"testing"
 
+	"repro/internal/community"
 	"repro/internal/dataset"
 	"repro/internal/ids"
 	"repro/internal/recsys"
@@ -29,75 +30,39 @@ func twoCliques() *wgraph.Graph {
 	return b.Build()
 }
 
-func TestDetectFindsCliques(t *testing.T) {
-	g := twoCliques()
-	a := Detect(g, DefaultConfig())
-	if a.NumBubbles() != 2 {
-		t.Fatalf("found %d bubbles, want 2 (sizes %v)", a.NumBubbles(), a.Sizes)
-	}
-	if a.Of(0) != a.Of(1) || a.Of(1) != a.Of(2) {
-		t.Errorf("clique {0,1,2} split: %v %v %v", a.Of(0), a.Of(1), a.Of(2))
-	}
-	if a.Of(3) != a.Of(4) || a.Of(4) != a.Of(5) {
-		t.Errorf("clique {3,4,5} split")
-	}
-	if a.Of(0) == a.Of(3) {
-		t.Error("cliques merged across the weak bridge")
-	}
-	if a.Of(6) != NoBubble {
-		t.Errorf("isolated node assigned to bubble %d", a.Of(6))
-	}
-	if a.Of(ids.UserID(99)) != NoBubble {
-		t.Error("out-of-range user should be NoBubble")
-	}
-	// Members round-trips.
-	m := a.Members(a.Of(0))
-	if len(m) != 3 {
-		t.Errorf("Members = %v", m)
-	}
-}
-
-func TestDetectDeterministic(t *testing.T) {
-	g := twoCliques()
-	a := Detect(g, DefaultConfig())
-	b := Detect(g, DefaultConfig())
-	for u := range a.Label {
-		if a.Label[u] != b.Label[u] {
-			t.Fatal("detection not deterministic")
-		}
-	}
+// detect returns g's communities, which are its bubbles.
+func detect(g *wgraph.Graph) *community.Embeddings {
+	return community.Detect(g, nil, community.DefaultConfig())
 }
 
 func TestModularity(t *testing.T) {
 	g := twoCliques()
-	good := Detect(g, DefaultConfig())
+	good := detect(g)
+	if good.NumClusters() != 2 {
+		t.Fatalf("found %d bubbles, want 2", good.NumClusters())
+	}
 	qGood := Modularity(g, good)
 	if qGood <= 0.3 {
 		t.Errorf("clique modularity %v, want clearly positive", qGood)
 	}
 	// Everything in one bubble: modularity ≈ 0 (all weight internal, but
 	// expectation too).
-	one := &Assignment{Label: make([]int32, 7), Sizes: []int32{7}}
-	if q := Modularity(g, one); q > 0.05 {
+	b := wgraph.NewBuilder(7, 64)
+	b.SetNumNodes(7)
+	for u := ids.UserID(0); u < 7; u++ {
+		for v := ids.UserID(0); v < 7; v++ {
+			if u != v {
+				b.AddEdge(u, v, 0.5)
+			}
+		}
+	}
+	clique := b.Build()
+	one := detect(clique)
+	if one.NumClusters() != 1 {
+		t.Fatalf("one clique split into %d bubbles", one.NumClusters())
+	}
+	if q := Modularity(clique, one); q > 0.05 {
 		t.Errorf("single-bubble modularity %v, want ≈0", q)
-	}
-}
-
-func TestLocality(t *testing.T) {
-	g := twoCliques()
-	a := Detect(g, DefaultConfig())
-	// All authors in user 0's own bubble.
-	rep := Locality(a, 0, []ids.UserID{1, 2, 1})
-	if rep.SameBubble != 1 || rep.DistinctBubbles != 1 {
-		t.Errorf("report %+v", rep)
-	}
-	// Half foreign.
-	rep = Locality(a, 0, []ids.UserID{1, 4})
-	if rep.SameBubble != 0.5 || rep.DistinctBubbles != 2 {
-		t.Errorf("report %+v", rep)
-	}
-	if rep = Locality(a, 0, nil); rep.SameBubble != 0 {
-		t.Errorf("empty report %+v", rep)
 	}
 }
 
@@ -116,7 +81,7 @@ func (s *stubRec) Recommend(u ids.UserID, k int, now ids.Timestamp) []recsys.Sco
 
 func TestDiversifierCapsBubbleShare(t *testing.T) {
 	g := twoCliques()
-	a := Detect(g, DefaultConfig())
+	a := detect(g)
 	// Tweets 0..5 authored by users 0..5: first three from bubble of 0.
 	authors := []ids.UserID{0, 1, 2, 3, 4, 5}
 	base := &stubRec{list: []recsys.ScoredTweet{
@@ -132,7 +97,7 @@ func TestDiversifierCapsBubbleShare(t *testing.T) {
 	}
 	counts := map[int32]int{}
 	for _, r := range got {
-		counts[a.Of(authors[r.Tweet])]++
+		counts[a.Label(authors[r.Tweet])]++
 	}
 	for b, c := range counts {
 		if c > 2 {
@@ -147,7 +112,7 @@ func TestDiversifierCapsBubbleShare(t *testing.T) {
 
 func TestDiversifierFillsWhenNoDiversity(t *testing.T) {
 	g := twoCliques()
-	a := Detect(g, DefaultConfig())
+	a := detect(g)
 	authors := []ids.UserID{0, 1, 2, 0, 1, 2}
 	base := &stubRec{list: []recsys.ScoredTweet{
 		{Tweet: 0, Score: 9}, {Tweet: 1, Score: 8}, {Tweet: 2, Score: 7},
@@ -162,7 +127,7 @@ func TestDiversifierFillsWhenNoDiversity(t *testing.T) {
 }
 
 func TestDiversifierName(t *testing.T) {
-	d := NewDiversifier(&stubRec{}, &Assignment{}, func(ids.TweetID) ids.UserID { return 0 })
+	d := NewDiversifier(&stubRec{}, &community.Embeddings{}, func(ids.TweetID) ids.UserID { return 0 })
 	if d.Name() != "stub+diverse" {
 		t.Error(d.Name())
 	}

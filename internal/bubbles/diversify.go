@@ -1,6 +1,7 @@
 package bubbles
 
 import (
+	"repro/internal/community"
 	"repro/internal/dataset"
 	"repro/internal/ids"
 	"repro/internal/recsys"
@@ -17,8 +18,9 @@ import (
 type Diversifier struct {
 	// Base produces the candidate ranking.
 	Base recsys.Recommender
-	// Bubbles is the current assignment over the similarity graph.
-	Bubbles *Assignment
+	// Bubbles labels users with their community over the similarity
+	// graph; a user's bubble is its hard label.
+	Bubbles *community.Embeddings
 	// AuthorOf resolves a tweet's author (the bubble a tweet "comes
 	// from" is its author's bubble).
 	AuthorOf func(ids.TweetID) ids.UserID
@@ -30,7 +32,7 @@ type Diversifier struct {
 }
 
 // NewDiversifier wraps base with bubble-capped re-ranking.
-func NewDiversifier(base recsys.Recommender, a *Assignment, authorOf func(ids.TweetID) ids.UserID) *Diversifier {
+func NewDiversifier(base recsys.Recommender, a *community.Embeddings, authorOf func(ids.TweetID) ids.UserID) *Diversifier {
 	return &Diversifier{
 		Base:           base,
 		Bubbles:        a,
@@ -78,8 +80,8 @@ func (d *Diversifier) Recommend(u ids.UserID, k int, now ids.Timestamp) []recsys
 		if len(taken) == k {
 			break
 		}
-		b := d.Bubbles.Of(d.AuthorOf(c.Tweet))
-		if b != NoBubble && perBubble[b] >= quota {
+		b := d.Bubbles.Label(d.AuthorOf(c.Tweet))
+		if b != community.NoCluster && perBubble[b] >= quota {
 			deferred = append(deferred, c)
 			continue
 		}

@@ -66,9 +66,9 @@ func (r *Recommender) Name() string { return "CF" }
 // Init computes the top-N similar users for every tracked user.
 func (r *Recommender) Init(ctx *recsys.Context) error {
 	r.ds = ctx.Dataset
-	r.pool = recsys.NewPool(ctx.Tracked, func(t ids.TweetID) ids.Timestamp {
+	r.pool = recsys.NewPoolFor(ctx, func(t ids.TweetID) ids.Timestamp {
 		return r.ds.Tweets[t].Time
-	}, ctx.MaxAge)
+	})
 	r.rev = make(map[ids.UserID][]weightedTarget)
 
 	inv := buildInvertedIndex(ctx.Store)

@@ -6,8 +6,10 @@
 // Detection is synchronous label propagation: every round computes each
 // user's next label purely from the previous round's label array (Jacobi
 // style, never from a half-updated one), so the result is bit-identical
-// across runs AND across worker counts — unlike the seeded asynchronous
-// variant in internal/bubbles, whose output depends on update order.
+// across runs AND across worker counts — unlike seeded asynchronous
+// propagation, whose output depends on update order. The same labels
+// serve the graph-build pruning, the cold-start fallback, and the §7
+// information bubbles (internal/bubbles).
 // Ties break deterministically (highest incident mass, then lowest
 // label). Rounds are bounded because synchronous propagation can
 // oscillate on bipartite structures instead of converging.

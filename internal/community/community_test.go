@@ -120,7 +120,7 @@ func TestColdFillFromFollowees(t *testing.T) {
 // TestDetectDeterministic pins the satellite contract: identical graphs
 // produce identical labels and vectors across runs and worker counts —
 // the synchronous-update guarantee asynchronous label propagation
-// (internal/bubbles) cannot give.
+// cannot give.
 func TestDetectDeterministic(t *testing.T) {
 	g := randomGraph(400, 2600, 42)
 	base := Detect(g, nil, Config{TopC: 4, MaxRounds: 16, MinClusterSize: 2, Workers: 1})

@@ -111,6 +111,27 @@ func NewPool(tracked []ids.UserID, pubTime func(ids.TweetID) ids.Timestamp, maxA
 	return p
 }
 
+// NewPoolFor creates the pool a method initialized on ctx streams into:
+// ctx.Tracked users, ctx.MaxAge freshness. It also records the training
+// shares of tweets still fresh at the end of ctx.Train, so a tweet a
+// user shared just before the train/stream cut is never recommended
+// back to them. Older training shares need no record: their tweets are
+// past the horizon for every later read.
+func NewPoolFor(ctx *Context, pubTime func(ids.TweetID) ids.Timestamp) *Pool {
+	p := NewPool(ctx.Tracked, pubTime, ctx.MaxAge)
+	train := ctx.Train
+	if len(train) == 0 {
+		return p
+	}
+	horizon := train[len(train)-1].Time - ctx.MaxAge
+	for i := len(train) - 1; i >= 0 && train[i].Time >= horizon; i-- {
+		if pubTime(train[i].Tweet) >= horizon {
+			p.MarkRetweeted(train[i].User, train[i].Tweet)
+		}
+	}
+	return p
+}
+
 // Tracks reports whether u is a tracked user.
 func (p *Pool) Tracks(u ids.UserID) bool {
 	_, ok := p.tracked[u]
@@ -162,6 +183,22 @@ func (p *Pool) MarkRetweeted(u ids.UserID, t ids.TweetID) {
 	defer s.mu.Unlock()
 	s.retweeted[t] = struct{}{}
 	delete(s.entries, t)
+}
+
+// Forget drops everything u's slot holds about t — its candidate entry
+// and its already-shared mark — once t has left the freshness window for
+// good, so a user who never reads does not keep every tweet it was ever
+// offered.
+func (p *Pool) Forget(u ids.UserID, t ids.TweetID) {
+	slot, ok := p.tracked[u]
+	if !ok {
+		return
+	}
+	s := &p.slots[slot]
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	delete(s.entries, t)
+	delete(s.retweeted, t)
 }
 
 // TopK returns u's best k fresh candidates at time now, evicting expired

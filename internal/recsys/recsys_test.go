@@ -5,6 +5,7 @@ import (
 	"testing"
 	"testing/quick"
 
+	"repro/internal/dataset"
 	"repro/internal/ids"
 	"repro/internal/xrand"
 )
@@ -45,6 +46,48 @@ func TestPoolMarkRetweeted(t *testing.T) {
 	p.MarkRetweeted(1, 7)
 	if got := p.TopK(1, 5, 10); len(got) != 0 {
 		t.Fatalf("retweeted tweet still recommended: %v", got)
+	}
+}
+
+func TestPoolForget(t *testing.T) {
+	p := NewPool([]ids.UserID{1}, constPub, 100)
+	p.Bump(1, 7, 0.9)
+	p.MarkRetweeted(1, 8)
+	p.Forget(1, 7)
+	p.Forget(1, 8)
+	p.Forget(2, 7) // untracked: ignored
+	if p.Size(1) != 0 {
+		t.Fatalf("size %d after Forget, want 0", p.Size(1))
+	}
+	// The already-shared mark is gone with the entry.
+	p.Bump(1, 8, 0.4)
+	if got := p.TopK(1, 5, 10); len(got) != 1 || got[0].Tweet != 8 {
+		t.Fatalf("TopK after Forget = %+v", got)
+	}
+}
+
+// TestNewPoolForMarksFreshTrainingShares: a training share of a tweet
+// still inside the horizon at the end of training is marked shared; an
+// older one needs no mark.
+func TestNewPoolForMarksFreshTrainingShares(t *testing.T) {
+	pub := func(t ids.TweetID) ids.Timestamp { return ids.Timestamp(t) * 10 }
+	ctx := &Context{
+		Train: []dataset.Action{
+			{User: 1, Tweet: 0, Time: 5},   // published 0, expired at the cut
+			{User: 1, Tweet: 9, Time: 95},  // published 90, fresh
+			{User: 2, Tweet: 9, Time: 100}, // untracked sharer
+		},
+		Tracked: []ids.UserID{1},
+		MaxAge:  50,
+	}
+	p := NewPoolFor(ctx, pub)
+	p.Bump(1, 9, 0.9)
+	if p.Size(1) != 0 {
+		t.Fatal("fresh training share offered back to its sharer")
+	}
+	p.Bump(1, 0, 0.9) // unmarked, but TopK drops it as expired
+	if got := p.TopK(1, 5, 100); len(got) != 0 {
+		t.Fatalf("TopK = %+v, want empty", got)
 	}
 }
 

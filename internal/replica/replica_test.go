@@ -365,8 +365,11 @@ func TestFollowerSalvagesTornLeaderTail(t *testing.T) {
 		t.Fatalf("leader restart resumed at %d, want %d", rs.WALNextIndex, tornAt)
 	}
 	fx.eng.Store(eng2)
-	fx.observeRange(t, half, len(fx.test))
+	// Stop advertising the torn record before appending: a listing that
+	// still says tornAt+1 while the follower fetches the new records
+	// behind it reads as a leader that lost records (ErrDiverged).
 	fx.override.Store(0)
+	fx.observeRange(t, half, len(fx.test))
 
 	if err := f.WaitCaughtUp(15 * time.Second); err != nil {
 		t.Fatal(err)

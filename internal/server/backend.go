@@ -1,12 +1,11 @@
 // Package server is the network serving layer: a stdlib-only HTTP
 // front end over a single repro.Engine or a shard.Router, adding the
-// three things in-process callers never needed — write coalescing that
-// rides the WAL group commit (N concurrent POST /observe writers pay
-// one exclusive-lock entry and one fsync between them), a per-user
+// two things in-process callers never needed — a per-user
 // recommendation cache invalidated by propagation deltas and graph
 // refreshes rather than TTL guesswork, and admission control that
-// sheds load (429 + Retry-After) when the windowed p99 of the engine's
-// own latency histograms crosses a budget.
+// sheds load (429 + Retry-After) when too many requests are in flight
+// or the windowed p99 of the engine's own latency histograms crosses a
+// budget. Each POST /observe is one single-action ObserveBatch call.
 package server
 
 import (

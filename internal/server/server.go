@@ -20,8 +20,6 @@ type Options struct {
 	// CacheEntries bounds the recommendation cache (total cached
 	// request shapes; <= 0 takes 65536).
 	CacheEntries int
-	// MaxBatch caps one coalesced ObserveBatch (<= 0 takes 512).
-	MaxBatch int
 	// P99Budget engages load shedding when the windowed p99 of the
 	// backend's recommend latency exceeds it; 0 disables shedding.
 	P99Budget time.Duration
@@ -31,15 +29,12 @@ type Options struct {
 	RetryAfter time.Duration
 	// Clock overrides time.Now, for shed tests.
 	Clock func() time.Time
-	// MaxInFlight sheds reads when more than this many HTTP requests are
-	// being served at once — the queue-aware second shed signal: engine
-	// p99 reacts to slow computation, this reacts to pure HTTP queueing
-	// on a saturated box. 0 disables.
+	// MaxInFlight sheds reads and writes when more than this many HTTP
+	// requests are being served at once — the queue-aware second shed
+	// signal: engine p99 reacts to slow computation, this reacts to pure
+	// HTTP queueing on a saturated box, and it is the bound on a write
+	// storm against a wedged backend. 0 disables.
 	MaxInFlight int
-	// MaxPending bounds the observe batcher's queue; an overflowing
-	// write storm gets 503 + Retry-After instead of unbounded memory
-	// growth (<= 0 takes 4096).
-	MaxPending int
 	// Replication, when set, mounts the leader's WAL-shipping endpoints
 	// under /wal/ so followers can bootstrap and tail this server.
 	Replication *replica.Leader
@@ -57,7 +52,8 @@ type Options struct {
 //
 //	POST /observe     {"user":u,"tweet":t,"time":ts} → 204; a degraded
 //	                  WAL append sets X-WAL-Degraded: 1 (applied, durability
-//	                  in doubt); invalid IDs → 400
+//	                  in doubt); invalid IDs → 400; sheds with 429 +
+//	                  Retry-After past MaxInFlight
 //	GET  /recommend   ?user=u&k=k[&now=ts] → {"user":u,"now":ts,"cold":b,
 //	                  "recommendations":[{"tweet":t,"score":s}]}; X-Cache:
 //	                  hit|miss|bypass; sheds with 429 + Retry-After
@@ -70,7 +66,6 @@ type Server struct {
 	backend Backend
 	replica ReplicaSource // non-nil when backend is a read replica
 	cache   *recCache
-	batcher *batcher
 	shed    *shedder
 	reg     *metrics.Registry
 	mux     *http.ServeMux
@@ -119,7 +114,6 @@ func New(b Backend, opts Options) *Server {
 	if rs, ok := b.(ReplicaSource); ok {
 		s.replica = rs
 	}
-	s.batcher = newBatcher(b, opts.MaxBatch, opts.MaxPending, reg)
 	s.shed = newShedder(b.RecommendLatency(), opts.P99Budget, opts.ShedWindow, opts.RetryAfter, opts.Clock, reg)
 	s.mRecommends = reg.Counter("server/http/recommends")
 	s.mObserves = reg.Counter("server/http/observes")
@@ -209,23 +203,22 @@ func (s *Server) handleObserve(w http.ResponseWriter, r *http.Request) {
 		http.Error(w, "read-only replica; observe on the leader", http.StatusForbidden)
 		return
 	}
+	if !s.admitInFlight(w) {
+		return
+	}
 	var req observeRequest
 	if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
 		s.badRequest(w, fmt.Sprintf("bad body: %v", err))
 		return
 	}
 	s.mObserves.Inc()
-	err := s.batcher.Observe(repro.Action{User: req.User, Tweet: req.Tweet, Time: req.Time})
+	err := s.backend.ObserveBatch([]repro.Action{{User: req.User, Tweet: req.Tweet, Time: req.Time}})[0]
 	switch {
 	case err == nil:
 	case errors.Is(err, repro.ErrWALRecordLogged):
 		// Applied and logged; durability in doubt. The action is live —
 		// report success, flag the doubt.
 		w.Header().Set("X-WAL-Degraded", "1")
-	case errors.Is(err, errObserveOverflow):
-		w.Header().Set("Retry-After", strconv.Itoa(int(s.retryAfter/time.Second)))
-		http.Error(w, "observe queue full, backing off", http.StatusServiceUnavailable)
-		return
 	default:
 		s.badRequest(w, err.Error())
 		return
@@ -258,15 +251,24 @@ type recommendResponse struct {
 	Recommendations []wireRec       `json:"recommendations"`
 }
 
+// admitInFlight is the queue-aware admission check shared by reads and
+// writes: too many requests already inside the server means new
+// arrivals would only deepen the queue. It catches pure HTTP queueing
+// that the engine-latency signal cannot see (the engine is fine; the
+// box is not), and a write storm against a wedged backend. A refused
+// request has been answered with 429 + Retry-After.
+func (s *Server) admitInFlight(w http.ResponseWriter) bool {
+	if s.maxInFlight <= 0 || s.inFlight.Load() <= s.maxInFlight {
+		return true
+	}
+	s.mQueueShed.Inc()
+	w.Header().Set("Retry-After", strconv.Itoa(int(s.retryAfter/time.Second)))
+	http.Error(w, "request queue full, backing off", http.StatusTooManyRequests)
+	return false
+}
+
 func (s *Server) handleRecommend(w http.ResponseWriter, r *http.Request) {
-	if s.maxInFlight > 0 && s.inFlight.Load() > s.maxInFlight {
-		// Queue-aware admission: too many requests already inside the
-		// server means new arrivals would only deepen the queue. This
-		// catches pure HTTP queueing that the engine-latency signal
-		// cannot see (the engine is fine; the box is not).
-		s.mQueueShed.Inc()
-		w.Header().Set("Retry-After", strconv.Itoa(int(s.retryAfter/time.Second)))
-		http.Error(w, "request queue full, backing off", http.StatusTooManyRequests)
+	if !s.admitInFlight(w) {
 		return
 	}
 	if !s.shed.Admit() {

@@ -3,6 +3,7 @@ package server
 import (
 	"bytes"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"net/http"
 	"net/http/httptest"
@@ -251,7 +252,7 @@ func TestRefreshInvalidatesCache(t *testing.T) {
 // writers, readers, and graph refreshes through the full HTTP stack,
 // then a quiesced sweep asserting every (possibly cached) response is
 // bit-identical to an uncached engine read. Run with -race this also
-// exercises the batcher handoff and the invalidation hook under fire.
+// exercises the write path and the invalidation hook under fire.
 func TestConcurrentSoakBitIdentity(t *testing.T) {
 	fx := newFixture(t, 200, 14, Options{})
 	const (
@@ -306,8 +307,9 @@ func TestConcurrentSoakBitIdentity(t *testing.T) {
 	if snap.Counters["server/cache/hits"] == 0 {
 		t.Error("soak produced zero cache hits; the cache never engaged")
 	}
-	if snap.Counters["server/batch/flushes"] == 0 {
-		t.Error("soak produced zero batch flushes")
+	// One POST /observe is one single-action engine batch.
+	if got := snap.Counters["engine/observe/batches"]; got != uint64(len(feed)) {
+		t.Errorf("engine saw %d observe batches, want %d", got, len(feed))
 	}
 }
 
@@ -388,95 +390,6 @@ func TestRouterBackend(t *testing.T) {
 	}
 	if colds == 0 {
 		t.Error("fixture exercises no cold fan-out through the server")
-	}
-}
-
-// gatedBackend wedges the first ObserveBatch open so the test can pile
-// followers into the batcher queue deterministically.
-type gatedBackend struct {
-	Backend
-	entered chan struct{}
-	release chan struct{}
-	calls   []int
-	mu      sync.Mutex
-}
-
-func (g *gatedBackend) ObserveBatch(actions []repro.Action) []error {
-	g.mu.Lock()
-	first := len(g.calls) == 0
-	g.calls = append(g.calls, len(actions))
-	g.mu.Unlock()
-	if first {
-		close(g.entered)
-		<-g.release
-	}
-	return g.Backend.ObserveBatch(actions)
-}
-
-// TestBatcherCoalesces pins the group-commit shape: writers that arrive
-// while a flush is in flight share the next flush.
-func TestBatcherCoalesces(t *testing.T) {
-	ds, err := gen.Generate(gen.DefaultConfig(120, 4))
-	if err != nil {
-		t.Fatal(err)
-	}
-	train, test, err := repro.SplitDataset(ds, 0.8)
-	if err != nil {
-		t.Fatal(err)
-	}
-	eopts := repro.DefaultEngineOptions()
-	eopts.Train = train
-	eopts.MaxAge = 1 << 40
-	eng, err := repro.NewEngine(ds, eopts)
-	if err != nil {
-		t.Fatal(err)
-	}
-	gated := &gatedBackend{
-		Backend: ForEngine(eng),
-		entered: make(chan struct{}),
-		release: make(chan struct{}),
-	}
-	reg := metrics.NewRegistry()
-	b := newBatcher(gated, 512, 0, reg)
-
-	const followers = 15
-	errCh := make(chan error, followers+1)
-	go func() { errCh <- b.Observe(test[0]) }()
-	<-gated.entered // leader is wedged inside the backend
-	for i := 1; i <= followers; i++ {
-		go func(i int) { errCh <- b.Observe(test[i]) }(i)
-	}
-	// Wait until every follower is queued behind the in-flight flush.
-	deadline := time.Now().Add(5 * time.Second)
-	for {
-		b.mu.Lock()
-		n := len(b.pending)
-		b.mu.Unlock()
-		if n == followers {
-			break
-		}
-		if time.Now().After(deadline) {
-			t.Fatalf("only %d of %d followers queued", n, followers)
-		}
-		time.Sleep(time.Millisecond)
-	}
-	close(gated.release)
-	for i := 0; i < followers+1; i++ {
-		if err := <-errCh; err != nil {
-			t.Fatal(err)
-		}
-	}
-	gated.mu.Lock()
-	calls := append([]int(nil), gated.calls...)
-	gated.mu.Unlock()
-	if len(calls) != 2 || calls[0] != 1 || calls[1] != followers {
-		t.Fatalf("backend saw batches %v, want [1 %d]", calls, followers)
-	}
-	if got := reg.Counter("server/batch/coalesced").Value(); got != followers-1 {
-		t.Fatalf("coalesced = %d, want %d", got, followers-1)
-	}
-	if got := len(eng.ObservedActions()); got != followers+1 {
-		t.Fatalf("engine applied %d actions, want %d", got, followers+1)
 	}
 }
 
@@ -579,98 +492,107 @@ func TestQueueAwareAdmission(t *testing.T) {
 	}
 }
 
-// TestObserveBackpressure pins the write-storm contract: with a flush
-// wedged in the backend and the pending queue at MaxPending, further
-// writes get 503 + Retry-After instead of unbounded queue growth, and
-// every admitted write still commits.
-func TestObserveBackpressure(t *testing.T) {
-	ds, err := gen.Generate(gen.DefaultConfig(120, 7))
-	if err != nil {
-		t.Fatal(err)
+// writeStub is a Backend whose ObserveBatch answers every slot with
+// slotErr and, when gate is set, parks inside the backend until it is
+// closed, counting arrivals on entered.
+type writeStub struct {
+	stubBackend
+	slotErr error
+	entered chan struct{}
+	gate    chan struct{}
+}
+
+func (s *writeStub) ObserveBatch(actions []repro.Action) []error {
+	if s.gate != nil {
+		s.entered <- struct{}{}
+		<-s.gate
 	}
-	train, test, err := repro.SplitDataset(ds, 0.8)
-	if err != nil {
-		t.Fatal(err)
+	errs := make([]error, len(actions))
+	for i := range errs {
+		errs[i] = s.slotErr
 	}
-	eopts := repro.DefaultEngineOptions()
-	eopts.Train = train
-	eopts.MaxAge = 1 << 40
-	eng, err := repro.NewEngine(ds, eopts)
-	if err != nil {
-		t.Fatal(err)
+	return errs
+}
+
+// TestObserveWriteContract pins how POST /observe maps the backend's
+// per-slot error onto the wire: a degraded WAL append is a success
+// flagged X-WAL-Degraded, a rejected slot is a 400, and with
+// MaxInFlight writes wedged in the backend a further write is shed with
+// 429 + Retry-After and counted as a queue shed.
+func TestObserveWriteContract(t *testing.T) {
+	body := `{"user":1,"tweet":2,"time":3}`
+	post := func(h http.Handler) *httptest.ResponseRecorder {
+		w := httptest.NewRecorder()
+		h.ServeHTTP(w, httptest.NewRequest(http.MethodPost, "/observe", bytes.NewBufferString(body)))
+		return w
 	}
-	gated := &gatedBackend{
-		Backend: ForEngine(eng),
-		entered: make(chan struct{}),
-		release: make(chan struct{}),
+	newStub := func(slotErr error) *writeStub {
+		return &writeStub{stubBackend: stubBackend{hist: metrics.NewRegistry().Histogram("h")}, slotErr: slotErr}
 	}
-	const maxPending = 4
-	srv := New(gated, Options{MaxPending: maxPending})
-	hs := httptest.NewServer(srv.Handler())
-	t.Cleanup(func() {
-		hs.Close()
-		srv.Close()
+
+	t.Run("clean", func(t *testing.T) {
+		srv := New(newStub(nil), Options{})
+		defer srv.Close()
+		w := post(srv.Handler())
+		if w.Code != http.StatusNoContent || w.Header().Get("X-WAL-Degraded") != "" {
+			t.Fatalf("status %d, X-WAL-Degraded %q; want 204 and no flag", w.Code, w.Header().Get("X-WAL-Degraded"))
+		}
 	})
-	post := func(a repro.Action) (*http.Response, error) {
-		body, _ := json.Marshal(map[string]any{"user": a.User, "tweet": a.Tweet, "time": a.Time})
-		return hs.Client().Post(hs.URL+"/observe", "application/json", bytes.NewReader(body))
-	}
 
-	codes := make(chan int, maxPending+1)
-	submit := func(a repro.Action) {
-		go func() {
-			resp, err := post(a)
-			if err != nil {
-				codes <- -1
-				return
+	t.Run("degraded", func(t *testing.T) {
+		srv := New(newStub(fmt.Errorf("repro: WAL degraded: %w", repro.ErrWALRecordLogged)), Options{})
+		defer srv.Close()
+		w := post(srv.Handler())
+		if w.Code != http.StatusNoContent {
+			t.Fatalf("degraded slot: status %d, want 204", w.Code)
+		}
+		if got := w.Header().Get("X-WAL-Degraded"); got != "1" {
+			t.Fatalf("degraded slot: X-WAL-Degraded = %q, want 1", got)
+		}
+	})
+
+	t.Run("rejected", func(t *testing.T) {
+		srv := New(newStub(errors.New("repro: user 1 out of range")), Options{})
+		defer srv.Close()
+		w := post(srv.Handler())
+		if w.Code != http.StatusBadRequest {
+			t.Fatalf("rejected slot: status %d, want 400", w.Code)
+		}
+		if got := srv.Metrics().Counter("server/http/bad_requests"); got != 1 {
+			t.Errorf("bad_requests = %d, want 1", got)
+		}
+	})
+
+	t.Run("wedged", func(t *testing.T) {
+		const wedged = 2
+		stub := newStub(nil)
+		stub.entered = make(chan struct{}, wedged)
+		stub.gate = make(chan struct{})
+		srv := New(stub, Options{MaxInFlight: wedged})
+		defer srv.Close()
+		h := srv.Handler()
+		codes := make(chan int, wedged)
+		for i := 0; i < wedged; i++ {
+			go func() { codes <- post(h).Code }()
+		}
+		for i := 0; i < wedged; i++ {
+			<-stub.entered // both writes are inside the backend
+		}
+		w := post(h)
+		if w.Code != http.StatusTooManyRequests {
+			t.Fatalf("write past MaxInFlight: status %d, want 429", w.Code)
+		}
+		if w.Header().Get("Retry-After") == "" {
+			t.Error("write shed carries no Retry-After")
+		}
+		if got := srv.Metrics().Counter("server/shed/queue_shed"); got != 1 {
+			t.Errorf("queue_shed = %d, want 1", got)
+		}
+		close(stub.gate)
+		for i := 0; i < wedged; i++ {
+			if code := <-codes; code != http.StatusNoContent {
+				t.Fatalf("wedged write finished with status %d", code)
 			}
-			resp.Body.Close()
-			codes <- resp.StatusCode
-		}()
-	}
-	submit(test[0])
-	<-gated.entered // the flush leader is wedged inside the backend
-	for i := 1; i <= maxPending; i++ {
-		submit(test[i])
-	}
-	// Wait until every admitted follower is queued behind the flush.
-	deadline := time.Now().Add(5 * time.Second)
-	for {
-		srv.batcher.mu.Lock()
-		n := len(srv.batcher.pending)
-		srv.batcher.mu.Unlock()
-		if n == maxPending {
-			break
 		}
-		if time.Now().After(deadline) {
-			t.Fatalf("only %d of %d writes queued", n, maxPending)
-		}
-		time.Sleep(time.Millisecond)
-	}
-
-	// The queue is at its bound: the next write must bounce.
-	resp, err := post(test[maxPending+1])
-	if err != nil {
-		t.Fatal(err)
-	}
-	resp.Body.Close()
-	if resp.StatusCode != http.StatusServiceUnavailable {
-		t.Fatalf("overflow status = %d, want 503", resp.StatusCode)
-	}
-	if resp.Header.Get("Retry-After") == "" {
-		t.Error("overflow response carries no Retry-After")
-	}
-	if got := srv.Metrics().Counter("server/batch/overflow"); got == 0 {
-		t.Error("overflow counter did not move")
-	}
-
-	close(gated.release)
-	for i := 0; i < maxPending+1; i++ {
-		if code := <-codes; code != http.StatusNoContent {
-			t.Fatalf("admitted write finished with status %d", code)
-		}
-	}
-	if got := len(eng.ObservedActions()); got != maxPending+1 {
-		t.Fatalf("engine applied %d actions, want %d", got, maxPending+1)
-	}
+	})
 }

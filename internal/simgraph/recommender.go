@@ -203,9 +203,9 @@ func (r *Recommender) attach(ctx *recsys.Context) {
 			r.drainWorkers = 8
 		}
 	}
-	r.pool = recsys.NewPool(ctx.Tracked, func(t ids.TweetID) ids.Timestamp {
+	r.pool = recsys.NewPoolFor(ctx, func(t ids.TweetID) ids.Timestamp {
 		return r.ds.Tweets[t].Time
-	}, ctx.MaxAge)
+	})
 	r.states = make(map[ids.TweetID]*propagation.TweetState)
 	r.counts = make(map[ids.TweetID]int)
 	r.evictQueue = nil
@@ -413,6 +413,17 @@ func (r *Recommender) evictExpired(now ids.Timestamp) {
 		t := r.evictQueue[r.evictHead]
 		if now-r.ds.Tweets[t].Time <= r.cfg.MaxAge {
 			break
+		}
+		if st := r.states[t]; st != nil {
+			// The tweet can never be recommended again: its pool
+			// entries and already-shared marks go with its state.
+			// Every seed is in P (AddSeeds scores it 1), so P names
+			// every user the tweet touched.
+			st.Lock()
+			for u := range st.P {
+				r.pool.Forget(u, t)
+			}
+			st.Unlock()
 		}
 		delete(r.states, t)
 		delete(r.counts, t)

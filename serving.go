@@ -1,10 +1,9 @@
 package repro
 
 // This file holds the serving-layer entry points of the Engine: the
-// batched write path (ObserveBatch) that lets a network front end
-// coalesce N concurrent writers into one exclusive-lock entry and one
-// group-commit fsync, and the cache-aware read path
-// (RecommendWithColdStart) that tells the caller whether the result
+// write path (ObserveBatch, which Observe and POST /observe call with
+// one action and a replica's tail loop with many), and the cache-aware
+// read path (RecommendWithColdStart) that tells the caller whether the result
 // came from the cold-start fallback — which aggregates OTHER users'
 // pools and is therefore not invalidated by the SetOnScoresChanged
 // hook, so serving caches must not hold it. internal/server is the
@@ -19,9 +18,10 @@ import (
 // ObserveBatch applies a batch of retweets with ONE exclusive-lock
 // entry and — when the WAL supports buffered appends — one group-commit
 // durability wait for the whole batch, instead of a lock entry and an
-// fsync per action. This is the amortization a serving layer needs: N
-// concurrent HTTP writers coalesced into a batch pay one reader
-// quiescence and one fsync between them.
+// fsync per action: a caller holding N actions (a replica applying a
+// shipped WAL chunk, the shard router's per-shard split) pays one reader
+// quiescence and one fsync for all of them. It is the engine's only
+// write path; Observe is a one-action batch.
 //
 // The result has one slot per action, aligned with the input: nil when
 // the action was applied (and durably logged), an error wrapping
