@@ -27,11 +27,13 @@
 package gen
 
 import (
+	"cmp"
 	"fmt"
 	"math"
-	"sort"
+	"slices"
 
 	"repro/internal/dataset"
+	"repro/internal/epoch"
 	"repro/internal/graph"
 	"repro/internal/ids"
 	"repro/internal/xrand"
@@ -330,7 +332,7 @@ func simulateCascades(c Config, users []user, g *graph.Graph, rng *xrand.RNG) ([
 	for i := range pubTimes {
 		pubTimes[i] = ids.Timestamp(rng.Int63() % int64(c.Duration))
 	}
-	sort.Slice(pubTimes, func(i, j int) bool { return pubTimes[i] < pubTimes[j] })
+	slices.Sort(pubTimes)
 
 	tweets := make([]dataset.Tweet, totalTweets)
 	actions := make([]dataset.Action, 0, totalTweets/2)
@@ -379,14 +381,17 @@ func simulateCascades(c Config, users []user, g *graph.Graph, rng *xrand.RNG) ([
 		at   ids.Timestamp
 	}
 	var frontier []spread
-	seen := make(map[ids.UserID]struct{}, 256)
-	// tested marks users who already made their adoption decision for the
-	// current tweet. A user decides ONCE, on first exposure, from their
-	// interest in the content — repeated exposures do not retry the coin.
-	// This keeps adoption interest-driven (homophily) rather than
-	// exposure-count-driven; with per-exposure retries the generator would
-	// secretly implement the Bayes baseline's noisy-OR as ground truth.
-	tested := make(map[ids.UserID]struct{}, 1024)
+	// seen marks the current tweet's sharers (author included). tested
+	// marks users who already made their adoption decision for it. A user
+	// decides ONCE, on first exposure, from their interest in the content
+	// — repeated exposures do not retry the coin. This keeps adoption
+	// interest-driven (homophily) rather than exposure-count-driven; with
+	// per-exposure retries the generator would secretly implement the
+	// Bayes baseline's noisy-OR as ground truth. The two sets stay apart:
+	// discovery draws check seen only, so a tested non-sharer can still be
+	// discovered. Both are epoch-stamped, so each tweet clears them with
+	// one epoch bump.
+	var seen, tested epoch.Marks
 
 	for ti := range tweets {
 		author := ids.UserID(authorChoice.Choose())
@@ -397,21 +402,28 @@ func simulateCascades(c Config, users []user, g *graph.Graph, rng *xrand.RNG) ([
 		// Cascade: BFS in time order over followers of spreaders.
 		frontier = frontier[:0]
 		frontier = append(frontier, spread{author, t0})
-		clear(seen)
-		clear(tested)
-		seen[author] = struct{}{}
+		seen.Reset(n)
+		tested.Reset(n)
+		seen.Add(author)
 		count := 0
 
 		for head := 0; head < len(frontier) && count < c.MaxCascade; head++ {
 			sp := frontier[head]
+			// decay is the freshness factor exp(-age) of sp's share. It
+			// depends on sp alone, so it is computed at most once per
+			// frontier node, on first use; -1 means not yet (exp is
+			// never negative). Calling math.Exp on the same argument
+			// returns the same bits, so hoisting it leaves every
+			// probability, and so the dataset, unchanged.
+			decay := -1.0
 			for _, f := range g.In(sp.user) { // f follows sp.user
-				if _, dup := seen[f]; dup {
+				if seen.Has(f) {
 					continue
 				}
-				if _, done := tested[f]; done {
+				if tested.Has(f) {
 					continue // decision already made on first exposure
 				}
-				tested[f] = struct{}{}
+				tested.Add(f)
 				fu := &users[f]
 				if !fu.retweets {
 					continue
@@ -420,8 +432,11 @@ func simulateCascades(c Config, users []user, g *graph.Graph, rng *xrand.RNG) ([
 				if aff == 0 {
 					continue
 				}
-				age := float64(sp.at-t0) / float64(c.FreshnessTau)
-				p := c.BaseRetweetP * aff * eager[f] * math.Exp(-age)
+				if decay < 0 {
+					age := float64(sp.at-t0) / float64(c.FreshnessTau)
+					decay = math.Exp(-age)
+				}
+				p := c.BaseRetweetP * aff * eager[f] * decay
 				if !rng.Bool(p) {
 					continue
 				}
@@ -430,7 +445,7 @@ func simulateCascades(c Config, users []user, g *graph.Graph, rng *xrand.RNG) ([
 				if at >= c.Duration {
 					continue
 				}
-				seen[f] = struct{}{}
+				seen.Add(f)
 				actions = append(actions, dataset.Action{
 					User: f, Tweet: ids.TweetID(ti), Time: at,
 				})
@@ -448,21 +463,22 @@ func simulateCascades(c Config, users []user, g *graph.Graph, rng *xrand.RNG) ([
 				if rng.Bool(c.DiscoverFrac - float64(nd)) {
 					nd++
 				}
+				dage := float64(at-t0) / float64(c.FreshnessTau)
+				ddecay := math.Exp(-dage) // same for every draw below
 				for ; nd > 0 && discover[topic] != nil && count < c.MaxCascade; nd-- {
 					d := members[topic][discover[topic].Choose()]
-					if _, dup := seen[d]; dup || !users[d].retweets {
+					if seen.Has(d) || !users[d].retweets {
 						continue
 					}
 					daff := float64(users[d].affinityFor(topic))
-					dage := float64(at-t0) / float64(c.FreshnessTau)
-					if !rng.Bool(daff * eager[d] * math.Exp(-dage)) {
+					if !rng.Bool(daff * eager[d] * ddecay) {
 						continue
 					}
 					dat := at + ids.Timestamp(rng.Exp(float64(c.MeanRetweetLag)))
 					if dat >= c.Duration {
 						continue
 					}
-					seen[d] = struct{}{}
+					seen.Add(d)
 					actions = append(actions, dataset.Action{
 						User: d, Tweet: ids.TweetID(ti), Time: dat,
 					})
@@ -476,14 +492,16 @@ func simulateCascades(c Config, users []user, g *graph.Graph, rng *xrand.RNG) ([
 		}
 	}
 
-	sort.Slice(actions, func(i, j int) bool {
-		if actions[i].Time != actions[j].Time {
-			return actions[i].Time < actions[j].Time
+	// (Time, Tweet, User) is unique — seen forbids a repeated (user,
+	// tweet) — so any correct sort yields the same order.
+	slices.SortFunc(actions, func(a, b dataset.Action) int {
+		if a.Time != b.Time {
+			return cmp.Compare(a.Time, b.Time)
 		}
-		if actions[i].Tweet != actions[j].Tweet {
-			return actions[i].Tweet < actions[j].Tweet
+		if a.Tweet != b.Tweet {
+			return cmp.Compare(a.Tweet, b.Tweet)
 		}
-		return actions[i].User < actions[j].User
+		return cmp.Compare(a.User, b.User)
 	})
 	return tweets, actions
 }

@@ -1,6 +1,7 @@
 package gen
 
 import (
+	"bytes"
 	"reflect"
 	"testing"
 
@@ -15,26 +16,24 @@ func smallConfig(seed uint64) Config {
 	return c
 }
 
+// TestGenerateDeterministic: two same-seed runs save to the same bytes —
+// graph, tweets and action log alike.
 func TestGenerateDeterministic(t *testing.T) {
-	a, err := Generate(smallConfig(42))
-	if err != nil {
-		t.Fatal(err)
+	a := saveBytes(t, smallConfig(42))
+	b := saveBytes(t, smallConfig(42))
+	if !bytes.Equal(a, b) {
+		t.Fatal("same-seed runs saved different datasets")
 	}
-	b, err := Generate(smallConfig(42))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if a.NumUsers() != b.NumUsers() || a.NumActions() != b.NumActions() {
-		t.Fatalf("sizes differ: %d/%d vs %d/%d", a.NumUsers(), a.NumActions(), b.NumUsers(), b.NumActions())
-	}
-	if !reflect.DeepEqual(a.Tweets, b.Tweets) {
-		t.Fatal("tweets differ between same-seed runs")
-	}
-	if !reflect.DeepEqual(a.Actions, b.Actions) {
-		t.Fatal("actions differ between same-seed runs")
-	}
-	if a.Graph.NumEdges() != b.Graph.NumEdges() {
-		t.Fatal("graphs differ between same-seed runs")
+}
+
+// BenchmarkGenerate times one full dataset generation at the bench's
+// scale (3 000 users, seed 1); simulateCascades dominates it.
+func BenchmarkGenerate(b *testing.B) {
+	c := DefaultConfig(3000, 1)
+	for i := 0; i < b.N; i++ {
+		if _, err := Generate(c); err != nil {
+			b.Fatal(err)
+		}
 	}
 }
 

@@ -4,6 +4,7 @@ import (
 	"math"
 	"sync"
 
+	"repro/internal/epoch"
 	"repro/internal/ids"
 	"repro/internal/wgraph"
 )
@@ -51,7 +52,7 @@ func (st *TweetState) Unlock() { st.mu.Unlock() }
 // It owns scratch shared across tweets; not safe for concurrent use —
 // the parallel drain checks one out per worker.
 //
-// The hot loop runs entirely on epoch-stamped dense scratch (epoch.go):
+// The hot loop runs entirely on epoch-stamped dense scratch (package epoch):
 // AddSeeds scatters the sparse TweetState into dense arrays once, so the
 // per-edge influencer probe inside recompute is an array load instead of
 // a map lookup, and changed users are gathered back into the state at the
@@ -61,10 +62,10 @@ type Incremental struct {
 	cfg Config
 	g   wgraph.View
 
-	p       epochVec   // dense view of st.P for the current call
-	seed    epochMarks // dense view of st.Seeds
-	inQ     epochMarks // queued-for-recompute marker
-	changed epochMarks // dedups st.Changed without a per-call map
+	p       epoch.Vec   // dense view of st.P for the current call
+	seed    epoch.Marks // dense view of st.Seeds
+	inQ     epoch.Marks // queued-for-recompute marker
+	changed epoch.Marks // dedups st.Changed without a per-call map
 	queue   []ids.UserID
 
 	// Stats of the last AddSeeds call.
@@ -93,22 +94,22 @@ func (inc *Incremental) AddSeeds(st *TweetState, seeds []ids.UserID, popularity 
 	cutoff := inc.cfg.Threshold.Cutoff(popularity)
 	st.Changed = st.Changed[:0]
 	n := inc.g.NumNodes()
-	inc.p.reset(n)
-	inc.seed.reset(n)
-	inc.inQ.reset(n)
-	inc.changed.reset(n)
+	inc.p.Reset(n)
+	inc.seed.Reset(n)
+	inc.inQ.Reset(n)
+	inc.changed.Reset(n)
 	inc.queue = inc.queue[:0]
 
 	// Scatter the sparse state into the dense scratch — O(|st.P|), paid
 	// once per call instead of one map probe per visited edge.
 	for u, p := range st.P {
 		if int(u) < n {
-			inc.p.set(u, p)
+			inc.p.Set(u, p)
 		}
 	}
 	for u := range st.Seeds {
 		if int(u) < n {
-			inc.seed.add(u)
+			inc.seed.Add(u)
 		}
 	}
 
@@ -116,13 +117,13 @@ func (inc *Incremental) AddSeeds(st *TweetState, seeds []ids.UserID, popularity 
 		if int(s) >= n {
 			continue
 		}
-		if inc.seed.has(s) {
+		if inc.seed.Has(s) {
 			continue // already a seed (or duplicated within this batch)
 		}
-		inc.seed.add(s)
+		inc.seed.Add(s)
 		st.Seeds[s] = struct{}{}
 		st.P[s] = 1
-		inc.p.set(s, 1)
+		inc.p.Set(s, 1)
 		inc.enqueueInfluenced(s)
 	}
 
@@ -145,21 +146,21 @@ func (inc *Incremental) AddSeeds(st *TweetState, seeds []ids.UserID, popularity 
 			roundEnd = len(inc.queue)
 		}
 		u := inc.queue[head]
-		inc.inQ.del(u)
-		if inc.seed.has(u) {
+		inc.inQ.Del(u)
+		if inc.seed.Has(u) {
 			continue
 		}
 		budget--
 		recomputed++
 		nv := inc.recompute(u)
-		old := inc.p.get(u)
+		old := inc.p.Get(u)
 		delta := math.Abs(nv - old)
 		if nv == 0 && old == 0 {
 			continue
 		}
-		inc.p.set(u, nv)
-		if !inc.changed.has(u) {
-			inc.changed.add(u)
+		inc.p.Set(u, nv)
+		if !inc.changed.Has(u) {
+			inc.changed.Add(u)
 			st.Changed = append(st.Changed, u)
 		}
 		if delta >= cutoff {
@@ -173,7 +174,7 @@ func (inc *Incremental) AddSeeds(st *TweetState, seeds []ids.UserID, popularity 
 	// Gather: fold the final dense scores of changed users back into the
 	// sparse state — one map write per changed user, not per recompute.
 	for _, u := range st.Changed {
-		st.P[u] = inc.p.val[u]
+		st.P[u] = inc.p.Get(u)
 	}
 }
 
@@ -198,7 +199,7 @@ func (inc *Incremental) recompute(u ids.UserID) float64 {
 	}
 	var sum float64
 	for i, v := range to {
-		if pv := inc.p.get(v); pv != 0 {
+		if pv := inc.p.Get(v); pv != 0 {
 			sum += pv * float64(w[i])
 		}
 	}
@@ -208,10 +209,10 @@ func (inc *Incremental) recompute(u ids.UserID) float64 {
 func (inc *Incremental) enqueueInfluenced(v ids.UserID) {
 	from, _ := inc.g.In(v)
 	for _, u := range from {
-		if inc.seed.has(u) || inc.inQ.has(u) {
+		if inc.seed.Has(u) || inc.inQ.Has(u) {
 			continue
 		}
-		inc.inQ.add(u)
+		inc.inQ.Add(u)
 		inc.queue = append(inc.queue, u)
 	}
 }

@@ -158,42 +158,6 @@ func TestIncrementalStats(t *testing.T) {
 	}
 }
 
-// TestEpochMarksWrap: after 2^32 resets the epoch counter wraps; the
-// hard-clear must forget every stale stamp.
-func TestEpochMarksWrap(t *testing.T) {
-	var m epochMarks
-	m.reset(4)
-	m.add(2)
-	m.epoch = ^uint32(0) // force the next reset to wrap
-	m.reset(4)
-	if m.epoch != 1 {
-		t.Fatalf("epoch after wrap = %d, want 1", m.epoch)
-	}
-	for u := ids.UserID(0); u < 4; u++ {
-		if m.has(u) {
-			t.Fatalf("stale mark on %d survived the wrap", u)
-		}
-	}
-	m.add(1)
-	if !m.has(1) || m.has(0) {
-		t.Fatal("marks broken after wrap")
-	}
-
-	var v epochVec
-	v.reset(3)
-	v.set(1, 0.5)
-	v.reset(3)
-	if v.get(1) != 0 {
-		t.Fatal("epochVec value survived reset")
-	}
-	if !v.set(1, 0.25) {
-		t.Fatal("set after reset must report first touch")
-	}
-	if v.set(1, 0.75) {
-		t.Fatal("second set must not report first touch")
-	}
-}
-
 // FuzzPropagate pins the epoch-stamped Propagator to the literal
 // Algorithm 1 oracle across fuzzer-chosen graphs and seed sets, reusing
 // one propagator across runs the way the serving path does.

@@ -25,6 +25,7 @@ import (
 	"math"
 	"slices"
 
+	"repro/internal/epoch"
 	"repro/internal/ids"
 	"repro/internal/linalg"
 	"repro/internal/wgraph"
@@ -102,7 +103,7 @@ func DefaultConfig() Config {
 // owns reusable scratch buffers, so it is NOT safe for concurrent use;
 // create one per worker goroutine.
 //
-// The dense scratch is epoch-stamped (see epoch.go): starting a call
+// The dense scratch is epoch-stamped (see package epoch): starting a call
 // bumps an epoch counter instead of clearing three |V|-sized arrays, and
 // a touched-list records exactly the users whose score was written, so
 // both the per-call reset and the result collection cost O(touched)
@@ -111,9 +112,9 @@ func DefaultConfig() Config {
 type Propagator struct {
 	cfg  Config
 	g    wgraph.View
-	p    epochVec   // current probabilities; unstamped slots read 0
-	seed epochMarks // users in D
-	inQ  epochMarks // queued-for-recompute marker
+	p    epoch.Vec   // current probabilities; unstamped slots read 0
+	seed epoch.Marks // users in D
+	inQ  epoch.Marks // queued-for-recompute marker
 	// queue/spare double-buffer the frontier rounds so steady state
 	// allocates nothing; touched lists every user whose score was written
 	// this call (seeds included), for O(touched) result collection.
@@ -173,9 +174,9 @@ func (pr *Propagator) Propagate(seeds []ids.UserID, popularity int) Result {
 	// scratch regrows here if the view grew (an Overlay whose base was
 	// swapped, or a Rebind to a bigger graph); a shrunken view is safe
 	// because stale tail slots are unstamped and read as 0.
-	pr.p.reset(n)
-	pr.seed.reset(n)
-	pr.inQ.reset(n)
+	pr.p.Reset(n)
+	pr.seed.Reset(n)
+	pr.inQ.Reset(n)
 	pr.queue = pr.queue[:0]
 	pr.touched = pr.touched[:0]
 
@@ -184,7 +185,7 @@ func (pr *Propagator) Propagate(seeds []ids.UserID, popularity int) Result {
 			continue
 		}
 		pr.setP(s, 1)
-		pr.seed.add(s)
+		pr.seed.Add(s)
 	}
 
 	// Initial frontier: users influenced by a seed (in-neighbours in the
@@ -212,14 +213,14 @@ func (pr *Propagator) Propagate(seeds []ids.UserID, popularity int) Result {
 		}
 		pr.queue = pr.spare[:0]
 		for _, u := range round {
-			pr.inQ.del(u)
+			pr.inQ.Del(u)
 		}
 		for _, u := range round {
-			if pr.seed.has(u) {
+			if pr.seed.Has(u) {
 				continue
 			}
 			nv := pr.recompute(u)
-			delta := math.Abs(nv - pr.p.get(u))
+			delta := math.Abs(nv - pr.p.Get(u))
 			pr.setP(u, nv)
 			touched++
 			if delta >= cutoff {
@@ -238,18 +239,18 @@ func (pr *Propagator) Propagate(seeds []ids.UserID, popularity int) Result {
 	slices.Sort(pr.touched)
 	var res Result
 	for _, u := range pr.touched {
-		if pr.seed.has(u) || pr.p.val[u] <= pr.cfg.MinScore {
+		if pr.seed.Has(u) || pr.p.Get(u) <= pr.cfg.MinScore {
 			continue
 		}
 		res.Users = append(res.Users, u)
-		res.Scores = append(res.Scores, pr.p.val[u])
+		res.Scores = append(res.Scores, pr.p.Get(u))
 	}
 	return res
 }
 
 // setP writes u's score, maintaining the touched-list.
 func (pr *Propagator) setP(u ids.UserID, x float64) {
-	if pr.p.set(u, x) {
+	if pr.p.Set(u, x) {
 		pr.touched = append(pr.touched, u)
 	}
 }
@@ -262,7 +263,7 @@ func (pr *Propagator) recompute(u ids.UserID) float64 {
 	}
 	var sum float64
 	for i, v := range to {
-		if pv := pr.p.get(v); pv != 0 {
+		if pv := pr.p.Get(v); pv != 0 {
 			sum += pv * float64(w[i])
 		}
 	}
@@ -274,10 +275,10 @@ func (pr *Propagator) recompute(u ids.UserID) float64 {
 func (pr *Propagator) enqueueInfluenced(v ids.UserID) {
 	from, _ := pr.g.In(v)
 	for _, u := range from {
-		if pr.seed.has(u) || pr.inQ.has(u) {
+		if pr.seed.Has(u) || pr.inQ.Has(u) {
 			continue
 		}
-		pr.inQ.add(u)
+		pr.inQ.Add(u)
 		pr.queue = append(pr.queue, u)
 	}
 }
