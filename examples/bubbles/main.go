@@ -45,13 +45,17 @@ func main() {
 	}
 	now := test[len(test)/2-1].Time
 
+	// maxBubbleShare caps one bubble at 2 of the 8 slots. At 0.5 the cap
+	// never binds here: no bubble holds more than half of a plain list,
+	// so the diverse list would equal the plain one for every user shown.
+	const maxBubbleShare = 0.25
 	shown := 0
 	for u := repro.UserID(0); int(u) < ds.NumUsers() && shown < 3; u++ {
 		plain := eng.Recommend(u, 8, now)
 		if len(plain) < 4 {
 			continue
 		}
-		diverse := eng.RecommendDiverse(assignment, u, 8, now, 0.5)
+		diverse := eng.RecommendDiverse(assignment, u, 8, now, maxBubbleShare)
 		shown++
 		fmt.Printf("\nuser %d (bubble %d)\n", u, assignment.Label(u))
 		fmt.Printf("  plain:   %s\n", describe(ds, assignment, plain))
