@@ -12,7 +12,7 @@
 //   - full similarity-graph build time, pairwise reference vs SimBatch
 //     kernel (best of -runs), verifying the edge sets are bit-identical;
 //   - construction throughput in edges/sec;
-//   - Engine.RefreshGraph cost split for every maintenance strategy
+//   - Engine.RefreshGraphStats cost split for every maintenance strategy
 //     (from-scratch, update-weights, crossfold, incremental): build
 //     time, read-lock write stall, exclusive lock hold, and the edge
 //     delta against the pre-refresh graph — each on a fresh engine fed
@@ -79,7 +79,7 @@ type report struct {
 	IncrementalExactOnDirty bool `json:"incremental_exact_on_dirty"`
 }
 
-// refreshEntry is one strategy's RefreshGraph cost split, measured on a
+// refreshEntry is one strategy's RefreshGraphStats cost split, measured on a
 // fresh engine fed the same observe stream (best of -runs).
 type refreshEntry struct {
 	Strategy        string  `json:"strategy"`
@@ -102,7 +102,7 @@ func main() {
 		users   = flag.Int("users", 1200, "synthetic dataset size (matches bench_test.go)")
 		seed    = flag.Uint64("seed", 1, "generator seed")
 		runs    = flag.Int("runs", 3, "timing runs per variant (best kept)")
-		observe = flag.Int("observe", 2000, "actions streamed into the engine before RefreshGraph")
+		observe = flag.Int("observe", 2000, "actions streamed into the engine before the refresh")
 		out     = flag.String("out", "BENCH_simgraph.json", "output file")
 
 		propNodes    = flag.Int("propNodes", 20000, "synthetic graph size for the propagation replay")
@@ -302,7 +302,7 @@ func parseShardCounts(s string) []int {
 	return out
 }
 
-// measureRefresh times one strategy's RefreshGraph, best of runs. Every
+// measureRefresh times one strategy's RefreshGraphStats, best of runs. Every
 // run gets a fresh engine fed the same observe stream: a refresh both
 // consumes the store's dirty set and swaps the recommender, so reusing
 // an engine would hand later runs (and later strategies) a workload the

@@ -176,7 +176,7 @@ func measureFleet(ds *repro.Dataset, eopts repro.EngineOptions, shards, writers,
 				}
 			}
 		})
-		r.RefreshGraph(repro.UpdateFromScratch)
+		r.RefreshGraphStats(repro.UpdateFromScratch)
 		rec := timeConcurrent(readers, readers*ds.NumUsers(), func(w, lo, hi int) {
 			for q := lo; q < hi; q++ {
 				r.Recommend(repro.UserID(q%ds.NumUsers()), 10, now)

@@ -76,7 +76,7 @@ func main() {
 		postpone = flag.Bool("postpone", false, "enable the postponed-propagation scheduler")
 		diverse  = flag.Bool("diverse", false, "readers call RecommendDiverse instead of Recommend")
 		debug    = flag.String("debug", "", "serve /debug/metrics and /debug/pprof on this address (e.g. 127.0.0.1:6060)")
-		refresh  = flag.Duration("refresh-every", 0, "run RefreshGraph on this wall-clock period (0 = never)")
+		refresh  = flag.Duration("refresh-every", 0, "refresh the similarity graph on this wall-clock period (0 = never)")
 		strategy = flag.String("refresh-strategy", "update-weights", "maintenance strategy for -refresh-every: from-scratch, keep-old, crossfold, update-weights, or incremental")
 		walDir   = flag.String("wal-dir", "", "durability directory: WAL every Observe and recover from it on start")
 		walSync  = flag.String("wal-sync", "interval", "WAL fsync policy: always, interval, or none")

@@ -9,7 +9,6 @@ import (
 
 	"repro/internal/bubbles"
 	"repro/internal/community"
-	"repro/internal/dataset"
 	"repro/internal/durable"
 	"repro/internal/ids"
 	"repro/internal/metrics"
@@ -21,13 +20,11 @@ import (
 )
 
 // Recommendation is one ranked suggestion: a tweet and the predicted
-// probability that the user would share it.
-type Recommendation struct {
-	Tweet TweetID
-	Score float64
-}
+// probability that the user would share it. It is the ranker's own type,
+// so every read path returns the ranked slice without a copy.
+type Recommendation = recsys.ScoredTweet
 
-// UpdateStrategy selects how RefreshGraph maintains the similarity graph
+// UpdateStrategy selects how RefreshGraphStats maintains the similarity graph
 // (§6.3 of the paper).
 type UpdateStrategy = simgraph.UpdateStrategy
 
@@ -77,12 +74,12 @@ type EngineOptions struct {
 	// (the paper's §7 "topic tweets" future work): 0 disables, 1 uses
 	// topics only. Helps small users whose profiles rarely overlap.
 	TopicAlpha float64
-	// ColdStartFallback serves users absent from the similarity graph by
-	// aggregating their followees' recommendations — the GraphJet-style
+	// ColdStartFallback serves users with no pool candidates of their own
+	// by aggregating their followees' recommendations — the GraphJet-style
 	// neighbourhood workaround the paper sketches in §4.1. With
 	// ClusterPrune enabled the aggregation is community-aware: each
 	// followee's vote is weighted by its cluster overlap with the cold
-	// user (see coldStartRecommend).
+	// user (see coldStartAggregate).
 	ColdStartFallback bool
 	// ClusterPrune enables sparse community embeddings (internal/
 	// community): after every graph build the engine detects communities
@@ -105,7 +102,7 @@ type EngineOptions struct {
 	// the durable WAL here; leave nil for a purely in-memory engine.
 	WAL ActionLog
 	// RefreshEvery, when positive, starts a background refresher (like
-	// the checkpointer) that runs RefreshGraph on this period with
+	// the checkpointer) that runs RefreshGraphStats on this period with
 	// RefreshStrategy, so the similarity graph tracks the stream without
 	// any caller-driven refresh loop. A pass whose strategy is
 	// UpdateIncremental is skipped outright when no profile changed since
@@ -136,18 +133,19 @@ func DefaultEngineOptions() EngineOptions {
 // recommender, and keeps all three consistent as retweets stream in.
 //
 // Engine is safe for concurrent use. The read path — Recommend,
-// RecommendDiverse, Similarity, PropagateScores, GraphCharacteristics,
-// ColdStartUsers, DetectBubbles, ObservedActions — may be called from any
-// number of goroutines simultaneously; reads scale with GOMAXPROCS
-// because the candidate pools are lock-split per user and the similarity
-// graph is immutable between refreshes. Observe is a writer: it takes the
-// exclusive lock, so a streamed retweet briefly quiesces readers but can
-// safely interleave with them. RefreshGraph builds the new graph under
-// the read lock and takes the exclusive lock only for the swap, so a
-// rebuild stalls readers for the swap alone, not the construction.
+// RecommendWithColdStart, ColdStartPartial, RecommendDiverse, Similarity,
+// PropagateScores, GraphCharacteristics, DetectBubbles, ObservedActions —
+// may be called from any number of goroutines simultaneously; reads scale
+// with GOMAXPROCS because the candidate pools are lock-split per user and
+// the similarity graph is immutable between refreshes. Observe and
+// ObserveBatch are writers: they take the exclusive lock, so a streamed
+// retweet briefly quiesces readers but can safely interleave with them.
+// RefreshGraphStats builds the new graph under the read lock and takes
+// the exclusive lock only for the swap, so a rebuild stalls readers for
+// the swap alone, not the construction.
 type Engine struct {
 	// mu is the facade lock: read methods take RLock, Observe takes Lock
-	// (it mutates the profile store and the observed log). RefreshGraph
+	// (it mutates the profile store and the observed log). RefreshGraphStats
 	// builds read-locked — excluding Observe, so the store is stable —
 	// then swaps the recommender under a brief exclusive section.
 	mu    sync.RWMutex
@@ -156,7 +154,7 @@ type Engine struct {
 	store *similarity.Store
 	rec   *simgraph.Recommender
 	ctx   *recsys.Context
-	// observed accumulates the streamed actions so RefreshGraph can
+	// observed accumulates the streamed actions so RefreshGraphStats can
 	// rebuild pools; RefreshGraphStats compacts it to the suffix still
 	// within the freshness horizon (see the replay bound there).
 	observed []Action
@@ -447,25 +445,6 @@ func (e *Engine) Recommend(u UserID, k int, now Timestamp) []Recommendation {
 	return out
 }
 
-// ColdStartRecommend runs the followee-aggregation fallback directly,
-// regardless of EngineOptions.ColdStartFallback and of whether u has
-// pool candidates of their own, and truncates the aggregate to the k
-// best. Safe for concurrent callers.
-//
-// Routers that partition users across engines must NOT merge these
-// truncated lists: a tweet whose global (summed) score belongs in the
-// merged top-k can sit below rank k on every single shard and be
-// truncated out of all partials before the merge ever sees it. Use
-// ColdStartPartial for scatter-gather.
-func (e *Engine) ColdStartRecommend(u UserID, k int, now Timestamp) []Recommendation {
-	if int(u) >= e.ds.NumUsers() || k <= 0 {
-		return nil
-	}
-	e.mu.RLock()
-	defer e.mu.RUnlock()
-	return e.coldStartRecommend(u, k, now)
-}
-
 // ColdStartPartial returns this engine's UNtruncated cold-start
 // aggregate for u: every candidate tweet the locally tracked followees
 // contribute, averaged over u's full followee count. k bounds each
@@ -487,25 +466,6 @@ func (e *Engine) ColdStartPartial(u UserID, k int, now Timestamp) []Recommendati
 	e.mu.RLock()
 	defer e.mu.RUnlock()
 	return e.coldStartAggregate(u, k, now)
-}
-
-// coldStartRecommend ranks the followee aggregate and keeps the k best.
-// Callers hold e.mu (read side suffices).
-func (e *Engine) coldStartRecommend(u UserID, k int, now Timestamp) []Recommendation {
-	aggregate := e.coldStartAggregate(u, k, now)
-	if len(aggregate) == 0 {
-		return nil
-	}
-	top := recsys.NewTopK(k)
-	for _, r := range aggregate {
-		top.Offer(r.Tweet, r.Score)
-	}
-	ranked := top.Ranked()
-	out := make([]Recommendation, len(ranked))
-	for i, r := range ranked {
-		out[i] = Recommendation{Tweet: r.Tweet, Score: r.Score}
-	}
-	return out
 }
 
 // coldStartAggregate aggregates the followees' candidate lists without
@@ -660,7 +620,7 @@ func (e *Engine) Similarity(u, v UserID) float64 {
 	return e.store.Sim(u, v)
 }
 
-// RefreshStats reports the cost split of one RefreshGraph call: the
+// RefreshStats reports the cost split of one RefreshGraphStats call: the
 // expensive graph construction (which runs under the read lock, so
 // recommendation traffic keeps flowing but writers stall — WriteStall),
 // the unlocked replay of the observed-log snapshot, and the brief
@@ -708,11 +668,11 @@ type RefreshStats struct {
 	EdgesReweighted int
 }
 
-// RefreshGraph rebuilds or repairs the similarity graph with one of the
+// RefreshGraphStats rebuilds or repairs the similarity graph with one of the
 // paper's §6.3 strategies (or the Incremental strategy), folding in every
 // action observed since construction. The recommender keeps its pooled
 // candidates. Readers observe either the old or the new graph, never a
-// half-built one.
+// half-built one. It returns the refresh's cost split (RefreshStats).
 //
 // The refresh runs in three phases. Phase one holds the READ lock —
 // recommendation reads proceed throughout, but Observe (a writer) is
@@ -729,12 +689,6 @@ type RefreshStats struct {
 // replay and re-marked dirty in the live store; they appear as graph
 // edges on the next refresh, exactly as actions streamed after a
 // fully-locked rebuild would have.
-func (e *Engine) RefreshGraph(strategy UpdateStrategy) {
-	e.RefreshGraphStats(strategy)
-}
-
-// RefreshGraphStats is RefreshGraph returning its cost split.
-//
 // The replay covers only the actions whose tweet is still inside the
 // freshness horizon (published within MaxAge of the newest observed
 // action), and the exclusive section compacts the observed log to that
@@ -884,7 +838,7 @@ func (e *Engine) maybeStartRefresher() {
 	go e.refresherLoop(e.opts.RefreshEvery, e.opts.RefreshStrategy)
 }
 
-// refresherLoop runs RefreshGraph on a ticker until Close. Incremental
+// refresherLoop runs RefreshGraphStats on a ticker until Close. Incremental
 // passes are skipped while the dirty set is empty — no profile changed,
 // so the graph could not have moved and the refresh would only churn
 // the recommender swap (counted by engine/refresh/skipped_clean).
@@ -906,7 +860,7 @@ func (e *Engine) refresherLoop(every time.Duration, strategy UpdateStrategy) {
 					continue
 				}
 			}
-			e.RefreshGraph(strategy)
+			e.RefreshGraphStats(strategy)
 		}
 	}
 }
@@ -934,18 +888,6 @@ func (e *Engine) compactObservedLocked() ([]Action, int) {
 	return kept, dropped
 }
 
-// PropagationStats returns the cumulative streaming-propagation
-// counters: propagations run, user scores recomputed, frontier rounds,
-// and the postponed-drain batch counts and wall time. The counters live
-// in the engine's metrics registry, so — unlike before the metrics layer
-// — they accumulate across RefreshGraph swaps instead of resetting with
-// each fresh recommender.
-func (e *Engine) PropagationStats() simgraph.PropagationStats {
-	e.mu.RLock()
-	defer e.mu.RUnlock()
-	return e.rec.Stats()
-}
-
 // Metrics snapshots the engine-wide instrument registry: the engine/*
 // serving-path series (Recommend/Observe latency, refresh build and
 // lock-hold, cold-start fallbacks, observed-log length), the
@@ -964,7 +906,7 @@ func (e *Engine) MetricsRegistry() *metrics.Registry { return e.metrics }
 // copy is taken under the read lock, so it is a consistent prefix of the
 // observed log even while writers stream, and mutating it never touches
 // engine state — required when the caller is a shard router polling many
-// engines whose logs compact concurrently (RefreshGraph rewrites the
+// engines whose logs compact concurrently (RefreshGraphStats rewrites the
 // backing array in place under the exclusive lock).
 func (e *Engine) ObservedActions() []Action {
 	e.mu.RLock()
@@ -982,12 +924,10 @@ func (e *Engine) ObservedActions() []Action {
 // field is set at construction and never reassigned.
 func (e *Engine) Dataset() *Dataset { return e.ds }
 
-var _ = dataset.SortActions // keep the dataset import for the type aliases
-
-// ColdStartUsers returns the users absent from the similarity graph —
+// coldStartUsers returns the users absent from the similarity graph —
 // those with no retweet in the training log or no sufficiently similar
 // neighbour (the paper's cold-start cohort, §4.1).
-func (e *Engine) ColdStartUsers() []UserID {
+func (e *Engine) coldStartUsers() []UserID {
 	e.mu.RLock()
 	g := e.rec.Graph()
 	e.mu.RUnlock()
@@ -1030,10 +970,5 @@ func (e *Engine) RecommendDiverse(a *BubbleAssignment, u UserID, k int, now Time
 	if maxBubbleShare > 0 {
 		d.MaxBubbleShare = maxBubbleShare
 	}
-	scored := d.Recommend(u, k, now)
-	out := make([]Recommendation, len(scored))
-	for i, s := range scored {
-		out[i] = Recommendation{Tweet: s.Tweet, Score: s.Score}
-	}
-	return out
+	return d.Recommend(u, k, now)
 }

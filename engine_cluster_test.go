@@ -50,7 +50,7 @@ func TestClusterDetectionLifecycle(t *testing.T) {
 		t.Fatal("no communities detected on a generated dataset")
 	}
 	before := e.Metrics().Counter("engine/community/detections")
-	e.RefreshGraph(UpdateIncremental)
+	e.RefreshGraphStats(UpdateIncremental)
 	if e.Clusters() == emb {
 		t.Error("refresh did not re-detect embeddings")
 	}
@@ -85,12 +85,12 @@ func TestClusterColdStart(t *testing.T) {
 	const k = 10
 	checked := 0
 	weighted := false
-	for _, u := range e.ColdStartUsers() {
+	for _, u := range e.coldStartUsers() {
 		followees := e.ds.Graph.Out(u)
 		if len(followees) == 0 {
 			continue
 		}
-		got := e.ColdStartRecommend(u, k, now)
+		got := topK(e.ColdStartPartial(u, k, now), k)
 		// Reference: the documented aggregation over public pieces.
 		profile := e.store.Profile(u)
 		sharedBy := make(map[TweetID]bool, len(profile))
@@ -145,7 +145,7 @@ func TestClusterPruneServesRefresh(t *testing.T) {
 	opts.ClusterPrune = true
 	opts.PruneMinOverlap = 0.01
 	e, test, now := clusterFixture(t, opts)
-	e.RefreshGraph(UpdateFromScratch)
+	e.RefreshGraphStats(UpdateFromScratch)
 	m := e.Metrics()
 	if m.Counter("similarity/prune/candidates_in") == 0 {
 		t.Fatal("pruned refresh never ran the community pre-filter")
@@ -159,4 +159,14 @@ func TestClusterPruneServesRefresh(t *testing.T) {
 	if served == 0 {
 		t.Fatal("no user served after pruned refresh")
 	}
+}
+
+// topK ranks an untruncated cold-start aggregate and keeps the k best,
+// exactly as the engine's cold branch does.
+func topK(recs []Recommendation, k int) []Recommendation {
+	top := recsys.NewTopK(k)
+	for _, r := range recs {
+		top.Offer(r.Tweet, r.Score)
+	}
+	return top.Ranked()
 }

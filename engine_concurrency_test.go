@@ -116,9 +116,9 @@ func TestEngineConcurrentReadersPostponed(t *testing.T) {
 	runReadersAgainstWriter(t, eng, test, now, 8)
 }
 
-// RefreshGraph must serialize against readers: interleave refreshes with
+// RefreshGraphStats must serialize against readers: interleave refreshes with
 // recommends while a writer streams.
-func TestEngineConcurrentRefreshGraph(t *testing.T) {
+func TestEngineConcurrentRefreshGraphStats(t *testing.T) {
 	eng, test, now := concurrentEngine(t, false)
 	half := len(test) / 4
 	for _, a := range test[:half] {
@@ -134,7 +134,7 @@ func TestEngineConcurrentRefreshGraph(t *testing.T) {
 		defer wg.Done()
 		defer close(done)
 		for _, s := range []UpdateStrategy{UpdateWeights, UpdateCrossfold} {
-			eng.RefreshGraph(s)
+			eng.RefreshGraphStats(s)
 		}
 	}()
 	users := eng.Dataset().NumUsers()

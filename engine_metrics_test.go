@@ -12,7 +12,7 @@ import (
 
 // TestEngineMetricsSnapshot checks the acceptance surface of the metrics
 // layer: after driving the engine through its serving paths, the snapshot
-// exposes latency histograms for Recommend/Observe/RefreshGraph and the
+// exposes latency histograms for Recommend/Observe/RefreshGraphStats and the
 // streaming drain/build counters, with counts that match the traffic.
 func TestEngineMetricsSnapshot(t *testing.T) {
 	ds := testDataset(t)
@@ -37,7 +37,7 @@ func TestEngineMetricsSnapshot(t *testing.T) {
 		eng.Recommend(UserID(u), 5, now)
 		recommends++
 	}
-	eng.RefreshGraph(UpdateWeights)
+	eng.RefreshGraphStats(UpdateWeights)
 
 	snap := eng.Metrics()
 	// Observe is a one-action ObserveBatch: one batch and one batch

@@ -286,7 +286,7 @@ func (s HistogramSnapshot) Quantile(q float64) int64 {
 // Registry is a namespace of instruments resolved by slash-separated
 // path ("engine/recommend/latency_ns"). Resolution is get-or-create and
 // idempotent: the same name always returns the same instrument, so a
-// component rebuilt mid-run (e.g. a recommender swapped by RefreshGraph)
+// component rebuilt mid-run (e.g. a recommender swapped by RefreshGraphStats)
 // keeps accumulating into the same series. Resolution takes a mutex and
 // is meant for wiring time, not hot paths.
 //

@@ -140,7 +140,7 @@ func New(g wgraph.View, cfg Config) *Propagator {
 
 // Rebind points the propagator at a different similarity-graph view. It
 // lets a pooled propagator survive graph refreshes (the Engine keeps a
-// sync.Pool of per-worker propagators across RefreshGraph calls); the
+// sync.Pool of per-worker propagators across RefreshGraphStats calls); the
 // epoch-stamped scratch regrows on the next Propagate, which never trusts
 // the size the view had at New or Rebind time.
 func (pr *Propagator) Rebind(g wgraph.View) {

@@ -238,7 +238,7 @@ func TestRefreshInvalidatesCache(t *testing.T) {
 	for _, u := range users {
 		fx.recommend(t, u, 10, fx.now)
 	}
-	fx.eng.RefreshGraph(repro.UpdateFromScratch)
+	fx.eng.RefreshGraphStats(repro.UpdateFromScratch)
 	for _, u := range users {
 		got, resp := fx.recommend(t, u, 10, fx.now)
 		if resp.Header.Get("X-Cache") == "hit" {
@@ -288,7 +288,7 @@ func TestConcurrentSoakBitIdentity(t *testing.T) {
 	go func() {
 		defer wg.Done()
 		for i := 0; i < 2; i++ {
-			fx.eng.RefreshGraph(repro.UpdateIncremental)
+			fx.eng.RefreshGraphStats(repro.UpdateIncremental)
 			time.Sleep(5 * time.Millisecond)
 		}
 	}()

@@ -5,11 +5,12 @@ import (
 
 	"repro"
 	"repro/internal/graph"
+	"repro/internal/recsys"
 )
 
 // TestColdStartFanoutKeepsCrossShardWinner is the regression test for
 // the fan-out truncation bug: the router used to merge per-shard
-// ColdStartRecommend results, which are already truncated to the top k,
+// cold-start results already truncated to the top k,
 // so a tweet whose summed score belongs in the merged top-k was dropped
 // whenever no single shard ranked it that high — the classic
 // distributed top-k mistake.
@@ -165,7 +166,7 @@ func TestColdStartFanoutKeepsCrossShardWinner(t *testing.T) {
 		if len(full) <= k {
 			t.Fatalf("shard %d aggregate has only %d tweets; truncation cannot bite", i, len(full))
 		}
-		trunc := r.Shard(i).ColdStartRecommend(c, k, now)
+		trunc := topK(r.Shard(i).ColdStartPartial(c, k, now), k)
 		if len(trunc) != k {
 			t.Fatalf("shard %d truncated partial has %d entries, want %d", i, len(trunc), k)
 		}
@@ -180,7 +181,7 @@ func TestColdStartFanoutKeepsCrossShardWinner(t *testing.T) {
 	truncated := make([][]repro.Recommendation, r.NumShards())
 	full := make([][]repro.Recommendation, r.NumShards())
 	for i := 0; i < r.NumShards(); i++ {
-		truncated[i] = r.Shard(i).ColdStartRecommend(c, k, now)
+		truncated[i] = topK(r.Shard(i).ColdStartPartial(c, k, now), k)
 		full[i] = r.Shard(i).ColdStartPartial(c, k, now)
 	}
 	for _, rec := range mergeTopK(truncated, k) {
@@ -204,4 +205,14 @@ func TestColdStartFanoutKeepsCrossShardWinner(t *testing.T) {
 			t.Fatalf("rank %d: router %+v, untruncated merge %+v", i, got[i], want[i])
 		}
 	}
+}
+
+// topK ranks one shard's untruncated cold-start partial and keeps the k
+// best: the truncated per-shard list a naive merge would combine.
+func topK(recs []repro.Recommendation, k int) []repro.Recommendation {
+	top := recsys.NewTopK(k)
+	for _, r := range recs {
+		top.Offer(r.Tweet, r.Score)
+	}
+	return top.Ranked()
 }

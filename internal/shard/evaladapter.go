@@ -59,7 +59,7 @@ func (s *EvalRecommender) Observe(a dataset.Action) {
 
 // Recommend serves the harness query through the router.
 func (s *EvalRecommender) Recommend(u ids.UserID, k int, now ids.Timestamp) []recsys.ScoredTweet {
-	return toScored(s.router.Recommend(u, k, now))
+	return s.router.Recommend(u, k, now)
 }
 
 // Router exposes the built fleet (after Init), for counter assertions.
@@ -103,19 +103,8 @@ func (o *EvalOracle) Observe(a dataset.Action) {
 
 // Recommend serves the harness query from the oracle engine.
 func (o *EvalOracle) Recommend(u ids.UserID, k int, now ids.Timestamp) []recsys.ScoredTweet {
-	return toScored(o.engine.Recommend(u, k, now))
+	return o.engine.Recommend(u, k, now)
 }
 
 // Engine exposes the built oracle (after Init).
 func (o *EvalOracle) Engine() *repro.Engine { return o.engine }
-
-func toScored(recs []repro.Recommendation) []recsys.ScoredTweet {
-	if len(recs) == 0 {
-		return nil
-	}
-	out := make([]recsys.ScoredTweet, len(recs))
-	for i, r := range recs {
-		out[i] = recsys.ScoredTweet{Tweet: r.Tweet, Score: r.Score}
-	}
-	return out
-}

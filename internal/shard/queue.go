@@ -114,7 +114,7 @@ func (r *Router) applierLoop(shard int, q *shardQueue) {
 			continue
 		}
 		q.depth.Add(-1)
-		if err := r.observeShard(shard, qa.user, qa.tweet, qa.at); err != nil {
+		if err := r.shards[shard].Observe(qa.user, qa.tweet, qa.at); err != nil {
 			if !errors.Is(err, repro.ErrWALRecordLogged) {
 				r.async.errs.set(err)
 				r.async.mErrors.Inc()
@@ -123,6 +123,7 @@ func (r *Router) applierLoop(shard int, q *shardQueue) {
 			r.async.degraded.set(err)
 			r.async.mDegraded.Inc()
 		}
+		r.noteApplied(shard, qa.tweet)
 		r.async.mApplied.Inc()
 	}
 }

@@ -83,8 +83,8 @@ func TestRouterRecoveryBitIdentical(t *testing.T) {
 
 	// A post-recovery refresh must also agree shard by shard: each
 	// recovered shard saw the same owned observation sequence.
-	live.RefreshGraph(repro.UpdateFromScratch)
-	rec.RefreshGraph(repro.UpdateFromScratch)
+	live.RefreshGraphStats(repro.UpdateFromScratch)
+	rec.RefreshGraphStats(repro.UpdateFromScratch)
 	assertSameFleetOutput(t,
 		recommendAllRouter(live, 10, fx.now),
 		recommendAllRouter(rec, 10, fx.now),

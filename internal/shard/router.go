@@ -1,7 +1,6 @@
 package shard
 
 import (
-	"errors"
 	"fmt"
 	"sort"
 	"sync"
@@ -41,10 +40,6 @@ type Options struct {
 	// one applier goroutine, so a single producer can keep every shard
 	// busy without blocking on the slowest one. 0 disables ObserveAsync.
 	QueueDepth int
-	// DisableColdStartFanout turns off the scatter-gather cold-start
-	// merge: a user whose owner shard has no candidates is then served
-	// nothing instead of the cross-shard followee aggregate.
-	DisableColdStartFanout bool
 }
 
 // Router fans the Engine API out across a consistent-hash fleet of
@@ -150,22 +145,19 @@ func (r *Router) Dataset() *repro.Dataset { return r.ds }
 // Observe streams one retweet to the owning shard. Only that shard's
 // writers quiesce; the other N-1 shards keep serving and observing in
 // parallel — this is the scaling move the single-engine RWMutex blocked.
-// The error contract is the owning engine's (see repro.Engine.Observe).
+// It is a one-action ObserveBatch; the error contract is the owning
+// engine's (see repro.Engine.Observe).
 func (r *Router) Observe(u repro.UserID, t repro.TweetID, at repro.Timestamp) error {
-	return r.observeShard(r.ring.Owner(u), u, t, at)
+	return r.ObserveBatch([]repro.Action{{User: u, Tweet: t, Time: at}})[0]
 }
 
-// observeShard applies one action on a known shard (the sync path and
-// the queue appliers share it).
-func (r *Router) observeShard(s int, u repro.UserID, t repro.TweetID, at repro.Timestamp) error {
-	err := r.shards[s].Observe(u, t, at)
-	if err != nil && !errors.Is(err, repro.ErrWALRecordLogged) {
-		return err
-	}
+// noteApplied does the router's bookkeeping for one action shard s
+// applied, durably or degraded: the observe counters and the tweet's
+// cross-shard loss mask. ObserveBatch and the async appliers share it.
+func (r *Router) noteApplied(s int, t repro.TweetID) {
 	r.mObserves.Inc()
 	r.mShardObserves[s].Inc()
 	r.noteTweetShard(s, t)
-	return err
 }
 
 // noteTweetShard folds shard s into tweet t's observer mask and counts a
@@ -196,25 +188,11 @@ func (r *Router) noteTweetShard(s int, t repro.TweetID) {
 	}
 }
 
-// Recommend serves user u from their owner shard. When the owner has no
-// candidates (a cold or evicted user) and cold-start fanout is enabled,
-// the router scatter-gathers the engine-level cold-start aggregation
-// across every shard and merges the per-shard partial sums: each
-// followee of u is tracked on exactly one shard and every engine
-// normalizes by the user's full followee count, so the merged aggregate
-// equals the single-engine fallback over the union of the shards' pools.
+// Recommend serves user u from their owner shard, falling back to the
+// cross-shard cold-start merge; see RecommendWithColdStart.
 func (r *Router) Recommend(u repro.UserID, k int, now repro.Timestamp) []repro.Recommendation {
-	if k <= 0 || int(u) >= r.ds.NumUsers() {
-		return nil
-	}
-	s := r.ring.Owner(u)
-	r.mRecommends.Inc()
-	r.mShardRecs[s].Inc()
-	out := r.shards[s].Recommend(u, k, now)
-	if len(out) > 0 || r.opts.DisableColdStartFanout {
-		return out
-	}
-	return r.coldStartFanout(u, k, now)
+	out, _ := r.RecommendWithColdStart(u, k, now)
+	return out
 }
 
 // coldStartFanout merges every shard's ColdStartPartial into one top-k.
@@ -245,9 +223,8 @@ func (r *Router) coldStartFanout(u repro.UserID, k int, now repro.Timestamp) []r
 	return mergeTopK(partials, k)
 }
 
-// mergeTopK sums the scores of every (shard, tweet) partial and keeps
-// the k best. Exported logic kept package-private; the Router methods
-// are the API.
+// mergeTopK sums the scores of every (shard, tweet) partial, in shard
+// order, and keeps the k best.
 func mergeTopK(partials [][]repro.Recommendation, k int) []repro.Recommendation {
 	agg := make(map[repro.TweetID]float64)
 	for _, part := range partials {
@@ -255,19 +232,11 @@ func mergeTopK(partials [][]repro.Recommendation, k int) []repro.Recommendation 
 			agg[rec.Tweet] += rec.Score
 		}
 	}
-	if len(agg) == 0 {
-		return nil
-	}
 	top := recsys.NewTopK(k)
 	for t, s := range agg {
 		top.Offer(t, s)
 	}
-	ranked := top.Ranked()
-	out := make([]repro.Recommendation, len(ranked))
-	for i, sc := range ranked {
-		out[i] = repro.Recommendation{Tweet: sc.Tweet, Score: sc.Score}
-	}
-	return out
+	return top.Ranked()
 }
 
 // Similarity returns sim(u, v) when both users live on the same shard,
@@ -330,13 +299,9 @@ func (r *Router) PropagateScores(seeds []repro.UserID) map[repro.UserID]float64 
 	return out
 }
 
-// RefreshGraph runs one maintenance pass on every shard concurrently.
-func (r *Router) RefreshGraph(strategy repro.UpdateStrategy) {
-	r.RefreshGraphStats(strategy)
-}
-
-// RefreshGraphStats is RefreshGraph returning the per-shard cost splits,
-// indexed by shard. The passes run concurrently: each shard's write
+// RefreshGraphStats runs one maintenance pass on every shard
+// concurrently and returns the per-shard cost splits, indexed by
+// shard. The passes run concurrently: each shard's write
 // stall overlaps the others', so the fleet-wide stall is the max, not
 // the sum, of the per-shard stalls.
 func (r *Router) RefreshGraphStats(strategy repro.UpdateStrategy) []repro.RefreshStats {

@@ -18,6 +18,9 @@ import (
 // shard's sub-batch with one (*repro.Engine).ObserveBatch call, so the
 // whole batch costs at most one exclusive-lock entry and one group
 // commit per shard — and the per-shard sub-batches run concurrently.
+// When a single shard owns every valid action (always so for Observe's
+// one-action batch), that sub-batch is applied inline, with no
+// goroutine.
 //
 // The result is aligned with the input, one slot per action, with the
 // engine batch contract per slot: nil (applied, durable), an error
@@ -28,10 +31,8 @@ import (
 // async-queue contract.
 func (r *Router) ObserveBatch(actions []repro.Action) []error {
 	errs := make([]error, len(actions))
-	if len(actions) == 0 {
-		return errs
-	}
 	perShard := make([][]int, len(r.shards))
+	owners := 0 // shards that own at least one action
 	for i, a := range actions {
 		if int(a.User) >= r.ds.NumUsers() {
 			// An out-of-range user has no owner on the ring; reject here.
@@ -40,34 +41,40 @@ func (r *Router) ObserveBatch(actions []repro.Action) []error {
 			continue
 		}
 		s := r.ring.Owner(a.User)
+		if len(perShard[s]) == 0 {
+			owners++
+		}
 		perShard[s] = append(perShard[s], i)
 	}
-	var wg sync.WaitGroup
-	for s, idxs := range perShard {
-		if len(idxs) == 0 {
-			continue
-		}
-		wg.Add(1)
-		go func(s int, idxs []int) {
-			defer wg.Done()
-			sub := make([]repro.Action, len(idxs))
+	apply := func(s int, idxs []int) {
+		sub := actions
+		if len(idxs) != len(actions) {
+			sub = make([]repro.Action, len(idxs))
 			for j, i := range idxs {
 				sub[j] = actions[i]
 			}
-			subErrs := r.shards[s].ObserveBatch(sub)
-			for j, i := range idxs {
-				err := subErrs[j]
-				errs[i] = err
-				if err == nil || errors.Is(err, repro.ErrWALRecordLogged) {
-					// Applied (durably or degraded): count it and fold the
-					// tweet into the cross-shard loss mask, exactly as the
-					// sync path does per action.
-					r.mObserves.Inc()
-					r.mShardObserves[s].Inc()
-					r.noteTweetShard(s, actions[i].Tweet)
-				}
+		}
+		for j, err := range r.shards[s].ObserveBatch(sub) {
+			i := idxs[j]
+			errs[i] = err
+			if err == nil || errors.Is(err, repro.ErrWALRecordLogged) {
+				r.noteApplied(s, actions[i].Tweet)
 			}
-		}(s, idxs)
+		}
+	}
+	var wg sync.WaitGroup
+	for s, idxs := range perShard {
+		switch {
+		case len(idxs) == 0:
+		case owners == 1:
+			apply(s, idxs)
+		default:
+			wg.Add(1)
+			go func(s int, idxs []int) {
+				defer wg.Done()
+				apply(s, idxs)
+			}(s, idxs)
+		}
 	}
 	wg.Wait()
 	return errs
@@ -85,11 +92,17 @@ func (r *Router) SetOnScoresChanged(fn func(users []repro.UserID)) {
 	}
 }
 
-// RecommendWithColdStart is Recommend, additionally reporting whether
-// the result came from the cold-start scatter-gather. Cold results
-// aggregate the followees' pools across shards, so the per-user
-// score-change hook gives no staleness signal for them — serving
-// caches must not hold them (same contract as the engine method).
+// RecommendWithColdStart serves user u from their owner shard and
+// reports whether the result came from the cold-start scatter-gather.
+// When the owner has no candidates (a cold or evicted user), the router
+// gathers every shard's cold-start partial aggregate and merges them:
+// each followee of u is tracked on exactly one shard and every engine
+// normalizes by the user's full followee count, so the merged aggregate
+// equals the single-engine fallback over the union of the shards'
+// pools. Cold results aggregate the followees' pools across shards, so
+// the per-user score-change hook gives no staleness signal for them —
+// serving caches must not hold them (same contract as the engine
+// method).
 func (r *Router) RecommendWithColdStart(u repro.UserID, k int, now repro.Timestamp) ([]repro.Recommendation, bool) {
 	if k <= 0 || int(u) >= r.ds.NumUsers() {
 		return nil, false
@@ -97,9 +110,8 @@ func (r *Router) RecommendWithColdStart(u repro.UserID, k int, now repro.Timesta
 	s := r.ring.Owner(u)
 	r.mRecommends.Inc()
 	r.mShardRecs[s].Inc()
-	out, cold := r.shards[s].RecommendWithColdStart(u, k, now)
-	if len(out) > 0 || r.opts.DisableColdStartFanout {
-		return out, cold
+	if out := r.shards[s].Recommend(u, k, now); len(out) > 0 {
+		return out, false
 	}
 	return r.coldStartFanout(u, k, now), true
 }

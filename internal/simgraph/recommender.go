@@ -38,7 +38,7 @@ type RecommenderConfig struct {
 	// (see the rec/* names resolved in attach). Nil gives the recommender
 	// a private registry, so Stats() works for standalone use; the Engine
 	// passes its own registry, which also makes the counters survive the
-	// recommender swap a RefreshGraph performs.
+	// recommender swap a RefreshGraphStats performs.
 	Metrics *metrics.Registry
 	// OnChanged, when non-nil, is called after every state change that can
 	// alter some user's recommendation list, with the users affected: the

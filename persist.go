@@ -350,7 +350,7 @@ type CheckpointStats struct {
 // current similarity graph, and the live observed-action suffix, plus a
 // manifest recording the WAL high-water mark the snapshot covers. The
 // capture runs under the read lock — it piggybacks on the same contract
-// as RefreshGraph's build phase, so recommendation reads keep flowing
+// as RefreshGraphStats's build phase, so recommendation reads keep flowing
 // and only writers briefly wait — and every byte of IO happens outside
 // the engine locks. After the write it prunes old checkpoints (keeping
 // the engine's retention depth, default 2) and truncates WAL segments

@@ -116,7 +116,7 @@ func newestFile(t *testing.T, dir, prefix, suffix string) string {
 // TestRecoverMatchesLiveEngine is the subsystem's headline guarantee: an
 // engine recovered from checkpoint + WAL tail serves bit-identical
 // recommendations to an engine that never restarted — including when
-// the checkpoint was taken after a RefreshGraph, so the snapshot carries
+// the checkpoint was taken after a RefreshGraphStats, so the snapshot carries
 // a refreshed graph rather than the initial one, and including a further
 // refresh after recovery.
 func TestRecoverMatchesLiveEngine(t *testing.T) {
@@ -134,14 +134,14 @@ func TestRecoverMatchesLiveEngine(t *testing.T) {
 		t.Fatalf("fresh directory reported recovery: %+v", rs)
 	}
 
-	// Stream half, refresh both (the RefreshGraph boundary), snapshot the
+	// Stream half, refresh both (the RefreshGraphStats boundary), snapshot the
 	// persistent engine, stream the rest, then "crash" — only the WAL
 	// flush of Close survives, the process state is discarded.
 	mid := len(fx.test) / 2
 	fx.feed(t, live, 0, mid)
 	fx.feed(t, per, 0, mid)
-	live.RefreshGraph(UpdateWeights)
-	per.RefreshGraph(UpdateWeights)
+	live.RefreshGraphStats(UpdateWeights)
+	per.RefreshGraphStats(UpdateWeights)
 	if _, err := per.Checkpoint(dir); err != nil {
 		t.Fatal(err)
 	}
@@ -178,8 +178,8 @@ func TestRecoverMatchesLiveEngine(t *testing.T) {
 	// A refresh after recovery must also agree: the recovered profile
 	// store saw the same observation sequence, so the rebuilt graphs are
 	// identical too.
-	live.RefreshGraph(UpdateFromScratch)
-	rec.RefreshGraph(UpdateFromScratch)
+	live.RefreshGraphStats(UpdateFromScratch)
+	rec.RefreshGraphStats(UpdateFromScratch)
 	assertSameRecommendations(t, recommendAll(live, 10, fx.now), recommendAll(rec, 10, fx.now), "after post-recovery refresh")
 }
 
@@ -251,8 +251,8 @@ func TestRecoverMatchesLiveEngineIncremental(t *testing.T) {
 	if err := rec.Observe(fx.test[0].User, fx.test[0].Tweet, fx.now); err != nil {
 		t.Fatal(err)
 	}
-	live.RefreshGraph(UpdateIncremental)
-	rec.RefreshGraph(UpdateIncremental)
+	live.RefreshGraphStats(UpdateIncremental)
+	rec.RefreshGraphStats(UpdateIncremental)
 	assertSameRecommendations(t, recommendAll(live, 10, fx.now), recommendAll(rec, 10, fx.now), "after second incremental refresh")
 }
 

@@ -171,7 +171,7 @@ func TestEnginePropagateScores(t *testing.T) {
 	}
 }
 
-func TestEngineRefreshGraph(t *testing.T) {
+func TestEngineRefreshGraphStats(t *testing.T) {
 	ds := testDataset(t)
 	train, test, err := SplitDataset(ds, 0.9)
 	if err != nil {
@@ -190,7 +190,7 @@ func TestEngineRefreshGraph(t *testing.T) {
 		}
 	}
 	for _, s := range []UpdateStrategy{UpdateKeepOld, UpdateWeights, UpdateCrossfold, UpdateFromScratch} {
-		eng.RefreshGraph(s)
+		eng.RefreshGraphStats(s)
 		after := eng.GraphCharacteristics(0)
 		if s == UpdateKeepOld && after.Edges != before.Edges {
 			t.Errorf("KeepOld changed the graph: %d -> %d", before.Edges, after.Edges)
@@ -211,7 +211,7 @@ func TestEngineSimilarityAndColdStart(t *testing.T) {
 	if s := eng.Similarity(0, 0); s < 0 || s > 1 {
 		t.Fatalf("self similarity %v", s)
 	}
-	cold := eng.ColdStartUsers()
+	cold := eng.coldStartUsers()
 	g := eng.rec.Graph()
 	for _, u := range cold {
 		if g.OutDegree(u) != 0 || g.InDegree(u) != 0 {
@@ -298,7 +298,7 @@ func TestEngineColdStartFallback(t *testing.T) {
 		}
 	}
 	now := test[len(test)-1].Time
-	cold := eng.ColdStartUsers()
+	cold := eng.coldStartUsers()
 	if len(cold) == 0 {
 		t.Skip("no cold users in this dataset")
 	}

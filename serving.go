@@ -13,6 +13,8 @@ import (
 	"errors"
 	"fmt"
 	"time"
+
+	"repro/internal/recsys"
 )
 
 // ObserveBatch applies a batch of retweets with ONE exclusive-lock
@@ -110,14 +112,14 @@ func (e *Engine) RecommendWithColdStart(u UserID, k int, now Timestamp) ([]Recom
 	}()
 	e.mu.RLock()
 	defer e.mu.RUnlock()
-	scored := e.rec.Recommend(u, k, now)
-	if len(scored) == 0 && e.opts.ColdStartFallback {
-		e.mColdStarts.Inc()
-		return e.coldStartRecommend(u, k, now), true
+	out := e.rec.Recommend(u, k, now)
+	if len(out) > 0 || !e.opts.ColdStartFallback {
+		return out, false
 	}
-	out := make([]Recommendation, len(scored))
-	for i, s := range scored {
-		out[i] = Recommendation{Tweet: s.Tweet, Score: s.Score}
+	e.mColdStarts.Inc()
+	top := recsys.NewTopK(k)
+	for _, r := range e.coldStartAggregate(u, k, now) {
+		top.Offer(r.Tweet, r.Score)
 	}
-	return out, false
+	return top.Ranked(), true
 }

@@ -205,7 +205,7 @@ func TestSetOnScoresChangedFires(t *testing.T) {
 	if gotNil {
 		t.Fatal("observe fired a nil (full) invalidation")
 	}
-	e.RefreshGraph(UpdateIncremental)
+	e.RefreshGraphStats(UpdateIncremental)
 	if !gotNil {
 		t.Fatal("graph refresh did not fire the full (nil) invalidation")
 	}
