@@ -176,104 +176,104 @@ func TestRecommendServesFromOwnerShard(t *testing.T) {
 	}
 }
 
-// TestColdStartFanout pins the cold-start contract, with and without
-// ClusterPrune (each shard then weights by its own detected
-// embeddings). On four shards, a user its owner shard cannot serve gets
-// exactly what mergeTopK reconstructs from the shards' raw
-// ColdStartPartial lists, flagged cold. On one shard, the router serves
-// every user, warm and cold, exactly what a single engine with
-// ColdStartFallback on serves, with the same cold flag.
-func TestColdStartFanout(t *testing.T) {
-	for _, tc := range []struct {
-		name  string
-		prune bool
-	}{{"plain", false}, {"ClusterPrune", true}} {
-		t.Run(tc.name, func(t *testing.T) {
-			t.Run("4 shards", func(t *testing.T) {
-				fx := newFixture(t, 60, 7)
-				if tc.prune {
-					fx.eopts.ClusterPrune = true
-					fx.eopts.PruneMinOverlap = 0.05
-				}
-				r := fx.newFleet(t, Options{Shards: 4})
-				fx.feed(t, r)
-				if tc.prune {
-					for i := 0; i < r.NumShards(); i++ {
-						if r.Shard(i).Clusters() == nil {
-							t.Fatalf("shard %d: no embeddings despite ClusterPrune", i)
-						}
-					}
-				}
+// TestColdStartFanout pins the cold-start contract: on four shards, a
+// user its owner shard cannot serve gets exactly what mergeTopK
+// reconstructs from the shards' raw ColdStartPartial lists, flagged
+// cold. On one shard, the router serves every user, warm and cold,
+// exactly what a single engine with ColdStartFallback on serves, with
+// the same cold flag.
+func TestColdStartFanout(t *testing.T) { checkColdStartFanout(t, false) }
 
-				const k = 10
-				coldServed := 0
-				for u := 0; u < fx.ds.NumUsers(); u++ {
-					uid := repro.UserID(u)
-					if len(r.Shard(r.Owner(uid)).Recommend(uid, k, fx.now)) > 0 {
-						continue // warm — fanout never triggers
-					}
-					partials := make([][]repro.Recommendation, r.NumShards())
-					for i := 0; i < r.NumShards(); i++ {
-						partials[i] = r.Shard(i).ColdStartPartial(uid, k, fx.now)
-					}
-					want := mergeTopK(partials, k)
-					got, cold := r.RecommendWithColdStart(uid, k, fx.now)
-					if !cold {
-						t.Fatalf("cold user %d: served without the cold flag", u)
-					}
-					assertSameRecs(t, want, got, fmt.Sprintf("cold user %d", u))
-					coldServed += len(got)
-				}
-				if coldServed == 0 {
-					t.Fatal("vacuous: no cold user was served by the fanout")
-				}
-				if r.MetricsRegistry().Counter("router/fanouts").Value() == 0 {
-					t.Error("router/fanouts never incremented")
-				}
-			})
-			t.Run("1 shard", func(t *testing.T) {
-				fx := newFixture(t, 120, 9)
-				fx.eopts.ClusterPrune = tc.prune
-				fx.eopts.ColdStartFallback = true
-				eng, err := repro.NewEngine(fx.ds, fx.eopts)
-				if err != nil {
-					t.Fatal(err)
-				}
-				defer eng.Close()
-				for _, a := range fx.test {
-					if err := eng.Observe(a.User, a.Tweet, a.Time); err != nil {
-						t.Fatal(err)
-					}
-				}
-				r := fx.newFleet(t, Options{Shards: 1})
-				fx.feed(t, r)
+// TestClusterColdStartFanout pins the same contract under ClusterPrune,
+// where each shard weights its partial by its own detected embeddings.
+func TestClusterColdStartFanout(t *testing.T) { checkColdStartFanout(t, true) }
 
-				const k = 10
-				warm, cold := 0, 0
-				for u := 0; u < fx.ds.NumUsers(); u++ {
-					uid := repro.UserID(u)
-					want, wantCold := eng.RecommendWithColdStart(uid, k, fx.now)
-					got, gotCold := r.RecommendWithColdStart(uid, k, fx.now)
-					label := fmt.Sprintf("user %d", u)
-					if gotCold != wantCold {
-						t.Fatalf("%s: router cold=%v, engine cold=%v", label, gotCold, wantCold)
-					}
-					assertSameRecs(t, want, got, label)
-					switch {
-					case len(got) == 0:
-					case gotCold:
-						cold++
-					default:
-						warm++
-					}
+// checkColdStartFanout is the body of both fan-out tests; prune arms
+// ClusterPrune on every engine.
+func checkColdStartFanout(t *testing.T, prune bool) {
+	t.Run("4 shards", func(t *testing.T) {
+		fx := newFixture(t, 60, 7)
+		if prune {
+			fx.eopts.ClusterPrune = true
+			fx.eopts.PruneMinOverlap = 0.05
+		}
+		r := fx.newFleet(t, Options{Shards: 4})
+		fx.feed(t, r)
+		if prune {
+			for i := 0; i < r.NumShards(); i++ {
+				if r.Shard(i).Clusters() == nil {
+					t.Fatalf("shard %d: no embeddings despite ClusterPrune", i)
 				}
-				if warm == 0 || cold == 0 {
-					t.Fatalf("vacuous: %d warm and %d cold users served", warm, cold)
-				}
-				t.Logf("%d warm and %d cold users served", warm, cold)
-			})
-		})
-	}
+			}
+		}
+
+		const k = 10
+		coldServed := 0
+		for u := 0; u < fx.ds.NumUsers(); u++ {
+			uid := repro.UserID(u)
+			if len(r.Shard(r.Owner(uid)).Recommend(uid, k, fx.now)) > 0 {
+				continue // warm — fanout never triggers
+			}
+			partials := make([][]repro.Recommendation, r.NumShards())
+			for i := 0; i < r.NumShards(); i++ {
+				partials[i] = r.Shard(i).ColdStartPartial(uid, k, fx.now)
+			}
+			want := mergeTopK(partials, k)
+			got, cold := r.RecommendWithColdStart(uid, k, fx.now)
+			if !cold {
+				t.Fatalf("cold user %d: served without the cold flag", u)
+			}
+			assertSameRecs(t, want, got, fmt.Sprintf("cold user %d", u))
+			coldServed += len(got)
+		}
+		if coldServed == 0 {
+			t.Fatal("vacuous: no cold user was served by the fanout")
+		}
+		if r.MetricsRegistry().Counter("router/fanouts").Value() == 0 {
+			t.Error("router/fanouts never incremented")
+		}
+	})
+	t.Run("1 shard", func(t *testing.T) {
+		fx := newFixture(t, 120, 9)
+		fx.eopts.ClusterPrune = prune
+		fx.eopts.ColdStartFallback = true
+		eng, err := repro.NewEngine(fx.ds, fx.eopts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer eng.Close()
+		for _, a := range fx.test {
+			if err := eng.Observe(a.User, a.Tweet, a.Time); err != nil {
+				t.Fatal(err)
+			}
+		}
+		r := fx.newFleet(t, Options{Shards: 1})
+		fx.feed(t, r)
+
+		const k = 10
+		warm, cold := 0, 0
+		for u := 0; u < fx.ds.NumUsers(); u++ {
+			uid := repro.UserID(u)
+			want, wantCold := eng.RecommendWithColdStart(uid, k, fx.now)
+			got, gotCold := r.RecommendWithColdStart(uid, k, fx.now)
+			label := fmt.Sprintf("user %d", u)
+			if gotCold != wantCold {
+				t.Fatalf("%s: router cold=%v, engine cold=%v", label, gotCold, wantCold)
+			}
+			assertSameRecs(t, want, got, label)
+			switch {
+			case len(got) == 0:
+			case gotCold:
+				cold++
+			default:
+				warm++
+			}
+		}
+		if warm == 0 || cold == 0 {
+			t.Fatalf("vacuous: %d warm and %d cold users served", warm, cold)
+		}
+		t.Logf("%d warm and %d cold users served", warm, cold)
+	})
 }
 
 // assertSameRecs fails unless got equals want, rank by rank.
