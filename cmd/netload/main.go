@@ -20,14 +20,6 @@
 //     so shedding engages under the storm; the tool reports the p99 of
 //     ADMITTED requests and the shed counts, which is the bounded-tail
 //     claim BENCH_serving.json exists to document.
-//  3. Replica reads (-replica-duration > 0, -shards 1 only): a durable
-//     leader serves the /wal/ shipping endpoints and a read replica
-//     bootstraps from its checkpoint and tails its WAL, both behind
-//     real listeners. Writers stream observes at the leader while
-//     readers split evenly across leader and follower; the report's
-//     replica_reads entry records per-side and aggregate read
-//     throughput plus the follower's applied index and final lag —
-//     the scale-out-reads claim of the replication subsystem.
 //
 // Usage:
 //
@@ -35,7 +27,6 @@
 //	        [-readers 8] [-writers 4] [-duration 5s]
 //	        [-overload-duration 5s] [-overload-factor 3]
 //	        [-budget-factor 2] [-cache-entries 65536]
-//	        [-replica-duration 3s]
 //	        [-addr 127.0.0.1:0] [-out BENCH_serving.json]
 package main
 
@@ -57,7 +48,6 @@ import (
 	"repro/internal/gen"
 	"repro/internal/loadgen"
 	"repro/internal/metrics"
-	"repro/internal/replica"
 	"repro/internal/server"
 	"repro/internal/shard"
 )
@@ -75,7 +65,6 @@ func main() {
 		writers      = flag.Int("writers", 4, "closed-loop writer clients")
 		duration     = flag.Duration("duration", 5*time.Second, "closed-loop phase length")
 		overloadDur  = flag.Duration("overload-duration", 5*time.Second, "open-loop overload phase length (0 = skip)")
-		replicaDur   = flag.Duration("replica-duration", 3*time.Second, "replica-reads phase length (0 = skip; requires -shards 1)")
 		overloadFac  = flag.Float64("overload-factor", 3, "open-loop arrival rate as a multiple of closed-loop read throughput")
 		budgetFactor = flag.Float64("budget-factor", 2, "overload-phase p99 budget as a multiple of the calibrated uncontended read p99")
 		cacheEntries = flag.Int("cache-entries", 1<<16, "recommendation cache capacity")
@@ -212,17 +201,8 @@ func main() {
 			time.Duration(over.AdmittedP99Us*1e3).Round(time.Microsecond), budget.Round(time.Microsecond))
 	}
 
-	// ---- Phase 3: leader + read replica ----
-	var rep *replicaResult
-	if *replicaDur > 0 && *shards == 1 {
-		rep = runReplicaPhase(ds, eopts, test, *readers, *writers, *k, now, hot, *replicaDur, *cacheEntries, *addr, *seed)
-		fmt.Printf("replica reads: leader %.0f req/s + follower %.0f req/s = %.0f req/s aggregate (%.0f obs/s), follower applied %d, final lag %d\n",
-			rep.LeaderQPS, rep.FollowerQPS, rep.AggregateQPS, rep.WriteQPS, rep.FollowerApplied, rep.FollowerLag)
-	}
-
 	report := buildReport(*users, *seed, *shards, *readers, *writers, *k, closed, over)
 	report.CalP99Us = float64(calP99.Microseconds())
-	report.ReplicaReads = rep
 	b, err := json.MarshalIndent(report, "", "  ")
 	if err != nil {
 		log.Fatal(err)
@@ -522,210 +502,20 @@ func runOpenLoop(base string, test []repro.Action, writers, k int, now repro.Tim
 	}
 }
 
-type replicaResult struct {
-	DurationMs      float64 `json:"duration_ms"`
-	LeaderReads     int64   `json:"leader_reads"`
-	FollowerReads   int64   `json:"follower_reads"`
-	Writes          int64   `json:"writes"`
-	LeaderQPS       float64 `json:"leader_read_qps"`
-	FollowerQPS     float64 `json:"follower_read_qps"`
-	AggregateQPS    float64 `json:"aggregate_read_qps"`
-	WriteQPS        float64 `json:"write_qps"`
-	FollowerP50Us   float64 `json:"follower_read_p50_us"`
-	FollowerP99Us   float64 `json:"follower_read_p99_us"`
-	FollowerApplied uint64  `json:"follower_applied_index"`
-	FollowerLag     uint64  `json:"follower_final_lag"`
-	BytesShipped    uint64  `json:"wal_bytes_shipped"`
-	Rebootstraps    uint64  `json:"follower_rebootstraps"`
-}
-
-// runReplicaPhase stands up a durable leader serving the /wal/ shipping
-// endpoints and a follower bootstrapped from its checkpoint, then
-// splits closed-loop readers across both while writers stream observes
-// at the leader. Both sides run behind real listeners, so the numbers
-// include the same network path as every other phase.
-func runReplicaPhase(ds *repro.Dataset, eopts repro.EngineOptions, test []repro.Action, readers, writers, k int, now repro.Timestamp, hot int, d time.Duration, cacheEntries int, addr string, seed uint64) *replicaResult {
-	leaderDir, err := os.MkdirTemp("", "netload-leader-")
-	if err != nil {
-		log.Fatal(err)
-	}
-	defer os.RemoveAll(leaderDir)
-	folDir, err := os.MkdirTemp("", "netload-follower-")
-	if err != nil {
-		log.Fatal(err)
-	}
-	defer os.RemoveAll(folDir)
-
-	leaderEng, _, err := repro.OpenEngine(leaderDir, repro.OpenOptions{
-		Engine:       eopts,
-		Dataset:      ds,
-		WALSync:      repro.WALSyncInterval,
-		WALSyncEvery: 25 * time.Millisecond,
-	})
-	if err != nil {
-		log.Fatal(err)
-	}
-	defer leaderEng.Close()
-	if _, err := leaderEng.Checkpoint(leaderDir); err != nil {
-		log.Fatal(err)
-	}
-	ldr := replica.NewLeader(leaderDir, leaderEng.WALNextIndex, replica.LeaderOptions{
-		Metrics: leaderEng.MetricsRegistry(),
-	})
-	leaderEng.SetWALRetainFloor(ldr.RetainFloor)
-
-	leaderSrv := server.New(server.ForEngine(leaderEng), server.Options{
-		CacheEntries: cacheEntries,
-		Replication:  ldr,
-	})
-	leaderLn, err := net.Listen("tcp", addr)
-	if err != nil {
-		log.Fatal(err)
-	}
-	leaderHS := &http.Server{Handler: leaderSrv.Handler()}
-	go leaderHS.Serve(leaderLn)
-	leaderBase := "http://" + leaderLn.Addr().String()
-
-	fopts := eopts
-	fopts.Train = nil // the checkpoint's TrainLen reconstructs the split
-	fol, err := replica.Open(leaderBase, replica.FollowerOptions{
-		Dir:      folDir,
-		Engine:   fopts,
-		Poll:     250 * time.Millisecond,
-		RetryMin: 10 * time.Millisecond,
-	})
-	if err != nil {
-		log.Fatal(err)
-	}
-	defer fol.Close()
-	if err := fol.WaitCaughtUp(30 * time.Second); err != nil {
-		log.Fatalf("follower catch-up: %v", err)
-	}
-	folSrv := server.New(server.ForFollower(fol), server.Options{CacheEntries: cacheEntries})
-	folLn, err := net.Listen("tcp", addr)
-	if err != nil {
-		log.Fatal(err)
-	}
-	folHS := &http.Server{Handler: folSrv.Handler()}
-	go folHS.Serve(folLn)
-	folBase := "http://" + folLn.Addr().String()
-
-	leaderReaders := readers / 2
-	folReaders := readers - leaderReaders
-	client := newClient(readers + writers)
-	var (
-		wg          sync.WaitGroup
-		stop        = make(chan struct{})
-		leaderReads atomic.Int64
-		folReads    atomic.Int64
-		writes      atomic.Int64
-		samples     = loadgen.NewReservoir(1<<16, seed+2)
-	)
-	for w := 0; w < writers; w++ {
-		wg.Add(1)
-		go func(w int) {
-			defer wg.Done()
-			for i := w; ; i += writers {
-				select {
-				case <-stop:
-					return
-				default:
-				}
-				a := test[i%len(test)]
-				body, _ := json.Marshal(map[string]any{"user": a.User, "tweet": a.Tweet, "time": a.Time})
-				resp, err := client.Post(leaderBase+"/observe", "application/json", bytes.NewReader(body))
-				if err != nil {
-					log.Fatal(err)
-				}
-				resp.Body.Close()
-				if resp.StatusCode != http.StatusNoContent {
-					log.Fatalf("observe: status %d", resp.StatusCode)
-				}
-				writes.Add(1)
-			}
-		}(w)
-	}
-	read := func(base string, r int, count *atomic.Int64, sample bool) {
-		defer wg.Done()
-		u := r * 7919
-		for {
-			select {
-			case <-stop:
-				return
-			default:
-			}
-			t0 := time.Now()
-			resp, err := client.Get(fmt.Sprintf("%s/recommend?user=%d&k=%d&now=%d", base, u%hot, k, now))
-			if err != nil {
-				log.Fatal(err)
-			}
-			resp.Body.Close()
-			if resp.StatusCode != http.StatusOK {
-				log.Fatalf("recommend (%s): status %d", base, resp.StatusCode)
-			}
-			if sample {
-				samples.Observe(time.Since(t0))
-			}
-			count.Add(1)
-			u += 13
-		}
-	}
-	for r := 0; r < leaderReaders; r++ {
-		wg.Add(1)
-		go read(leaderBase, r, &leaderReads, false)
-	}
-	for r := 0; r < folReaders; r++ {
-		wg.Add(1)
-		go read(folBase, r+leaderReaders, &folReads, true)
-	}
-	time.Sleep(d)
-	close(stop)
-	wg.Wait()
-
-	folSnap := folSrv.Metrics()
-	leaderHS.Close()
-	leaderSrv.Close()
-	folHS.Close()
-	folSrv.Close()
-	if err := fol.Err(); err != nil {
-		log.Fatalf("replication wedged during load: %v", err)
-	}
-
-	secs := d.Seconds()
-	qs := samples.Quantiles(0.50, 0.99)
-	return &replicaResult{
-		DurationMs:      float64(d.Milliseconds()),
-		LeaderReads:     leaderReads.Load(),
-		FollowerReads:   folReads.Load(),
-		Writes:          writes.Load(),
-		LeaderQPS:       float64(leaderReads.Load()) / secs,
-		FollowerQPS:     float64(folReads.Load()) / secs,
-		AggregateQPS:    float64(leaderReads.Load()+folReads.Load()) / secs,
-		WriteQPS:        float64(writes.Load()) / secs,
-		FollowerP50Us:   float64(qs[0].Microseconds()),
-		FollowerP99Us:   float64(qs[1].Microseconds()),
-		FollowerApplied: fol.AppliedIndex(),
-		FollowerLag:     uint64(folSnap.Gauge("replica/follower/lag")),
-		BytesShipped:    folSnap.Counters["replica/follower/bytes_fetched"],
-		Rebootstraps:    folSnap.Counters["replica/follower/rebootstraps"],
-	}
-}
-
 type report struct {
-	GeneratedAt  string          `json:"generated_at"`
-	GoVersion    string          `json:"go_version"`
-	CPUs         int             `json:"cpus"`
-	GoMaxProcs   int             `json:"gomaxprocs"`
-	Users        int             `json:"users"`
-	Seed         uint64          `json:"seed"`
-	Shards       int             `json:"shards"`
-	Readers      int             `json:"readers"`
-	Writers      int             `json:"writers"`
-	K            int             `json:"k"`
-	CalP99Us     float64         `json:"calibration_read_p99_us"`
-	ClosedLoop   closedResult    `json:"closed_loop"`
-	Overload     *overloadResult `json:"overload,omitempty"`
-	ReplicaReads *replicaResult  `json:"replica_reads,omitempty"`
+	GeneratedAt string          `json:"generated_at"`
+	GoVersion   string          `json:"go_version"`
+	CPUs        int             `json:"cpus"`
+	GoMaxProcs  int             `json:"gomaxprocs"`
+	Users       int             `json:"users"`
+	Seed        uint64          `json:"seed"`
+	Shards      int             `json:"shards"`
+	Readers     int             `json:"readers"`
+	Writers     int             `json:"writers"`
+	K           int             `json:"k"`
+	CalP99Us    float64         `json:"calibration_read_p99_us"`
+	ClosedLoop  closedResult    `json:"closed_loop"`
+	Overload    *overloadResult `json:"overload,omitempty"`
 }
 
 func fillCacheStats(closed *closedResult, snap metrics.Snapshot) {

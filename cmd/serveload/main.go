@@ -30,16 +30,6 @@
 //	          [-refresh-strategy update-weights]
 //	          [-cluster-prune] [-prune-min-overlap 0]
 //	          [-wal-dir DIR] [-wal-sync interval] [-checkpoint-every 0]
-//	          [-serve-wal] [-follower URL -replica-dir DIR]
-//
-// Replication: with -serve-wal (requires -wal-dir, -shards 1, and
-// -debug ADDR) the process is a replication leader — the debug address
-// additionally serves the /wal/ shipping endpoints, and WAL truncation
-// is pinned to the slowest attached follower's acknowledged index.
-// With -follower URL -replica-dir DIR the process is a read replica: it
-// bootstraps from the leader's newest checkpoint into DIR, tails the
-// leader's WAL, and drives ONLY readers against the local engine (the
-// writer loop is disabled; observe on the leader).
 package main
 
 import (
@@ -58,7 +48,6 @@ import (
 	"repro/internal/gen"
 	"repro/internal/loadgen"
 	"repro/internal/metrics"
-	"repro/internal/replica"
 	"repro/internal/shard"
 )
 
@@ -84,226 +73,165 @@ func main() {
 		shards   = flag.Int("shards", 1, "partition users across this many engine shards via the consistent-hash router (with -wal-dir each shard gets its own WAL+checkpoint subdirectory)")
 		prune    = flag.Bool("cluster-prune", false, "detect community embeddings at each refresh and pre-filter candidate generation with them")
 		pruneOv  = flag.Float64("prune-min-overlap", 0, "lossy prune threshold for -cluster-prune (0 = provably lossless certificate mode)")
-		serveWAL = flag.Bool("serve-wal", false, "leader mode: additionally serve the /wal/ replication endpoints on the -debug address and pin WAL truncation to follower acks (requires -wal-dir, -shards 1, -debug)")
-		follower = flag.String("follower", "", "follower mode: attach to this leader base URL (the leader's -debug address) and serve reads from a local replica")
-		repDir   = flag.String("replica-dir", "", "follower mode: local mirror directory for checkpoints and shipped WAL segments")
 	)
 	flag.Parse()
 	if *shards > 1 && *diverse {
 		log.Fatal("-diverse needs the whole-population bubble assignment; it requires -shards 1")
 	}
-	if *serveWAL && (*walDir == "" || *shards > 1) {
-		log.Fatal("-serve-wal requires -wal-dir and -shards 1 (one leader serves one durability directory)")
-	}
-	if *serveWAL && *debug == "" {
-		log.Fatal("-serve-wal needs -debug ADDR: the replication endpoints mount on the debug server")
-	}
-	if *follower != "" && *repDir == "" {
-		log.Fatal("-follower requires -replica-dir DIR for the local mirror")
-	}
-	if *follower != "" && (*walDir != "" || *serveWAL || *shards > 1) {
-		log.Fatal("-follower is exclusive with -wal-dir/-serve-wal/-shards: a replica's durability is its leader's")
-	}
 
 	start := time.Now()
 
-	// Every serving shape — one engine, a sharded fleet behind the
-	// consistent-hash router, or a read replica tailing a leader —
-	// drives the same load loops through these. observeFn stays nil in
-	// follower mode: replicas are read-only.
+	// Every serving shape — one engine or a sharded fleet behind the
+	// consistent-hash router — drives the same load loops through these.
 	var (
-		ds            *repro.Dataset
-		test          []repro.Action
-		eng           *repro.Engine
-		fol           *replica.Follower
-		leaderHandler http.Handler
-		observeFn     func(repro.UserID, repro.TweetID, repro.Timestamp) error
-		recommendFn   func(repro.UserID, int, repro.Timestamp) []repro.Recommendation
-		metricsFn     func() metrics.Snapshot
-		refreshFn     func(repro.UpdateStrategy)
+		eng         *repro.Engine
+		observeFn   func(repro.UserID, repro.TweetID, repro.Timestamp) error
+		recommendFn func(repro.UserID, int, repro.Timestamp) []repro.Recommendation
+		metricsFn   func() metrics.Snapshot
+		refreshFn   func(repro.UpdateStrategy)
 	)
-	if *follower != "" {
-		// Follower mode skips dataset generation entirely: the dataset,
-		// the trained graph, and the action stream all arrive from the
-		// leader's checkpoint + shipped WAL.
-		fopts := repro.DefaultEngineOptions()
-		fopts.Postpone = *postpone
-		fopts.ClusterPrune = *prune
-		fopts.PruneMinOverlap = *pruneOv
-		var err error
-		fol, err = replica.Open(*follower, replica.FollowerOptions{
-			Dir:    *repDir,
-			Engine: fopts,
-		})
-		if err != nil {
-			log.Fatal(err)
-		}
-		defer fol.Close()
-		if err := fol.WaitCaughtUp(time.Minute); err != nil {
-			log.Fatalf("catching up to %s: %v", *follower, err)
-		}
-		eng = fol.Engine()
-		ds = eng.Dataset()
-		recommendFn = eng.Recommend
-		metricsFn = eng.Metrics
-		fmt.Printf("replica of %s: applied index %d (lag %d) into %s in %v (GOMAXPROCS=%d)\n",
-			*follower, fol.AppliedIndex(), fol.Lag(), *repDir,
-			time.Since(start).Round(time.Millisecond), runtime.GOMAXPROCS(0))
+	var (
+		ds  *repro.Dataset
+		err error
+	)
+	if *load != "" {
+		ds, err = dataset.LoadFile(*load)
 	} else {
-		var err error
-		if *load != "" {
-			ds, err = dataset.LoadFile(*load)
-		} else {
-			ds, err = gen.Generate(gen.DefaultConfig(*users, *seed))
-		}
-		if err != nil {
-			log.Fatal(err)
-		}
+		ds, err = gen.Generate(gen.DefaultConfig(*users, *seed))
+	}
+	if err != nil {
+		log.Fatal(err)
+	}
 
-		var train []repro.Action
-		train, test, err = repro.SplitDataset(ds, 0.9)
-		if err != nil {
-			log.Fatal(err)
-		}
-		opts := repro.DefaultEngineOptions()
-		opts.Train = train
-		opts.Postpone = *postpone
-		opts.ClusterPrune = *prune
-		opts.PruneMinOverlap = *pruneOv
+	train, test, err := repro.SplitDataset(ds, 0.9)
+	if err != nil {
+		log.Fatal(err)
+	}
+	opts := repro.DefaultEngineOptions()
+	opts.Train = train
+	opts.Postpone = *postpone
+	opts.ClusterPrune = *prune
+	opts.PruneMinOverlap = *pruneOv
 
-		if *shards > 1 {
-			var router *shard.Router
-			if *walDir != "" {
-				policy, err := repro.ParseWALSyncPolicy(*walSync)
-				if err != nil {
-					log.Fatal(err)
-				}
-				var stats []repro.RecoveryStats
-				router, stats, err = shard.Open(*walDir, repro.OpenOptions{
-					Engine:          opts,
-					Dataset:         ds,
-					WALSync:         policy,
-					CheckpointEvery: *ckEvery,
-				}, shard.Options{Shards: *shards})
-				if err != nil {
-					log.Fatal(err)
-				}
-				recovered := false
-				for i, rs := range stats {
-					if !rs.Recovered {
-						continue
-					}
-					recovered = true
-					fmt.Printf("recovered shard %d: checkpoint seq %d (%d actions) + WAL tail %d records (torn=%v) in %v\n",
-						i, rs.CheckpointSeq, rs.CheckpointActions, rs.WALRecords, rs.WALTorn,
-						rs.Duration.Round(time.Millisecond))
-				}
-				if !recovered {
-					// Fresh directory: seed every shard with a bootstrap
-					// checkpoint synchronously, so a kill at any later moment
-					// recovers the whole fleet without this process's generated
-					// dataset.
-					cks, err := router.Checkpoint()
-					if err != nil {
-						log.Fatal(err)
-					}
-					var bytes int64
-					for _, st := range cks {
-						bytes += st.Bytes
-					}
-					fmt.Printf("durability: fresh %s, bootstrap checkpoints on %d shards (%d bytes, sync=%s)\n",
-						*walDir, len(cks), bytes, policy)
-				}
-			} else if router, err = shard.New(ds, opts, shard.Options{Shards: *shards}); err != nil {
-				log.Fatal(err)
-			}
-			defer router.Close()
-			observeFn = router.Observe
-			recommendFn = router.Recommend
-			metricsFn = router.Metrics
-			refreshFn = func(strat repro.UpdateStrategy) {
-				t0 := time.Now()
-				stats := router.RefreshGraphStats(strat)
-				var dirty, added, removed, reweighted int
-				for _, st := range stats {
-					dirty += st.DirtyUsers
-					added += st.EdgesAdded
-					removed += st.EdgesRemoved
-					reweighted += st.EdgesReweighted
-				}
-				log.Printf("refresh(%s): fleet wall=%v over %d shards, dirty=%d Δedges=+%d/-%d/~%d",
-					strat, time.Since(t0).Round(time.Millisecond), len(stats),
-					dirty, added, removed, reweighted)
-			}
-		} else if *walDir != "" {
+	if *shards > 1 {
+		var router *shard.Router
+		if *walDir != "" {
 			policy, err := repro.ParseWALSyncPolicy(*walSync)
 			if err != nil {
 				log.Fatal(err)
 			}
-			var rs repro.RecoveryStats
-			eng, rs, err = repro.OpenEngine(*walDir, repro.OpenOptions{
+			var stats []repro.RecoveryStats
+			router, stats, err = shard.Open(*walDir, repro.OpenOptions{
 				Engine:          opts,
 				Dataset:         ds,
 				WALSync:         policy,
 				CheckpointEvery: *ckEvery,
-			})
+			}, shard.Options{Shards: *shards})
 			if err != nil {
 				log.Fatal(err)
 			}
-			defer eng.Close()
-			if rs.Recovered {
-				fmt.Printf("recovered %s: checkpoint seq %d (%d actions) + WAL tail %d records (torn=%v) in %v\n",
-					*walDir, rs.CheckpointSeq, rs.CheckpointActions, rs.WALRecords, rs.WALTorn,
+			recovered := false
+			for i, rs := range stats {
+				if !rs.Recovered {
+					continue
+				}
+				recovered = true
+				fmt.Printf("recovered shard %d: checkpoint seq %d (%d actions) + WAL tail %d records (torn=%v) in %v\n",
+					i, rs.CheckpointSeq, rs.CheckpointActions, rs.WALRecords, rs.WALTorn,
 					rs.Duration.Round(time.Millisecond))
-			} else {
-				// Fresh directory: seed a bootstrap checkpoint synchronously so
-				// a kill at any later moment recovers without this process's
-				// generated dataset.
-				st, err := eng.Checkpoint(*walDir)
+			}
+			if !recovered {
+				// Fresh directory: seed every shard with a bootstrap
+				// checkpoint synchronously, so a kill at any later moment
+				// recovers the whole fleet without this process's generated
+				// dataset.
+				cks, err := router.Checkpoint()
 				if err != nil {
 					log.Fatal(err)
 				}
-				fmt.Printf("durability: fresh %s, bootstrap checkpoint seq %d (%d bytes, sync=%s)\n",
-					*walDir, st.Seq, st.Bytes, policy)
+				var bytes int64
+				for _, st := range cks {
+					bytes += st.Bytes
+				}
+				fmt.Printf("durability: fresh %s, bootstrap checkpoints on %d shards (%d bytes, sync=%s)\n",
+					*walDir, len(cks), bytes, policy)
 			}
-		} else if eng, err = repro.NewEngine(ds, opts); err != nil {
+		} else if router, err = shard.New(ds, opts, shard.Options{Shards: *shards}); err != nil {
 			log.Fatal(err)
 		}
-		if eng != nil {
-			observeFn = eng.Observe
-			recommendFn = eng.Recommend
-			metricsFn = eng.Metrics
-			refreshFn = func(strat repro.UpdateStrategy) {
-				st := eng.RefreshGraphStats(strat)
-				log.Printf("refresh(%s): build=%v write-stall=%v lock=%v dirty=%d Δedges=+%d/-%d/~%d replayed=%d compacted=%d",
-					st.Strategy,
-					st.BuildTime.Round(time.Millisecond),
-					st.WriteStall.Round(time.Microsecond),
-					st.LockHold.Round(time.Microsecond),
-					st.DirtyUsers, st.EdgesAdded, st.EdgesRemoved, st.EdgesReweighted,
-					st.Replayed, st.Compacted)
+		defer router.Close()
+		observeFn = router.Observe
+		recommendFn = router.Recommend
+		metricsFn = router.Metrics
+		refreshFn = func(strat repro.UpdateStrategy) {
+			t0 := time.Now()
+			stats := router.RefreshGraphStats(strat)
+			var dirty, added, removed, reweighted int
+			for _, st := range stats {
+				dirty += st.DirtyUsers
+				added += st.EdgesAdded
+				removed += st.EdgesRemoved
+				reweighted += st.EdgesReweighted
 			}
+			log.Printf("refresh(%s): fleet wall=%v over %d shards, dirty=%d Δedges=+%d/-%d/~%d",
+				strat, time.Since(t0).Round(time.Millisecond), len(stats),
+				dirty, added, removed, reweighted)
 		}
-		if *serveWAL {
-			// Leader mode: serve this directory's WAL segments and
-			// checkpoints to followers, and never truncate records a live
-			// follower has not acknowledged.
-			ldr := replica.NewLeader(*walDir, eng.WALNextIndex, replica.LeaderOptions{
-				Metrics: eng.MetricsRegistry(),
-			})
-			eng.SetWALRetainFloor(ldr.RetainFloor)
-			leaderHandler = ldr.Handler()
+	} else if *walDir != "" {
+		policy, err := repro.ParseWALSyncPolicy(*walSync)
+		if err != nil {
+			log.Fatal(err)
 		}
-		fmt.Printf("trained on %d users / %d train actions across %d shard(s) in %v (GOMAXPROCS=%d)\n",
-			ds.NumUsers(), len(train), *shards, time.Since(start).Round(time.Millisecond), runtime.GOMAXPROCS(0))
+		var rs repro.RecoveryStats
+		eng, rs, err = repro.OpenEngine(*walDir, repro.OpenOptions{
+			Engine:          opts,
+			Dataset:         ds,
+			WALSync:         policy,
+			CheckpointEvery: *ckEvery,
+		})
+		if err != nil {
+			log.Fatal(err)
+		}
+		defer eng.Close()
+		if rs.Recovered {
+			fmt.Printf("recovered %s: checkpoint seq %d (%d actions) + WAL tail %d records (torn=%v) in %v\n",
+				*walDir, rs.CheckpointSeq, rs.CheckpointActions, rs.WALRecords, rs.WALTorn,
+				rs.Duration.Round(time.Millisecond))
+		} else {
+			// Fresh directory: seed a bootstrap checkpoint synchronously so
+			// a kill at any later moment recovers without this process's
+			// generated dataset.
+			st, err := eng.Checkpoint(*walDir)
+			if err != nil {
+				log.Fatal(err)
+			}
+			fmt.Printf("durability: fresh %s, bootstrap checkpoint seq %d (%d bytes, sync=%s)\n",
+				*walDir, st.Seq, st.Bytes, policy)
+		}
+	} else if eng, err = repro.NewEngine(ds, opts); err != nil {
+		log.Fatal(err)
 	}
+	if eng != nil {
+		observeFn = eng.Observe
+		recommendFn = eng.Recommend
+		metricsFn = eng.Metrics
+		refreshFn = func(strat repro.UpdateStrategy) {
+			st := eng.RefreshGraphStats(strat)
+			log.Printf("refresh(%s): build=%v write-stall=%v lock=%v dirty=%d Δedges=+%d/-%d/~%d replayed=%d compacted=%d",
+				st.Strategy,
+				st.BuildTime.Round(time.Millisecond),
+				st.WriteStall.Round(time.Microsecond),
+				st.LockHold.Round(time.Microsecond),
+				st.DirtyUsers, st.EdgesAdded, st.EdgesRemoved, st.EdgesReweighted,
+				st.Replayed, st.Compacted)
+		}
+	}
+	fmt.Printf("trained on %d users / %d train actions across %d shard(s) in %v (GOMAXPROCS=%d)\n",
+		ds.NumUsers(), len(train), *shards, time.Since(start).Round(time.Millisecond), runtime.GOMAXPROCS(0))
 
 	if *debug != "" {
 		mux := http.NewServeMux()
 		mux.Handle("/", metrics.NewDebugMux(metricsFn))
-		if leaderHandler != nil {
-			mux.Handle("/wal/", leaderHandler)
-		}
 		srv := &http.Server{Addr: *debug, Handler: mux}
 		go func() {
 			if err := srv.ListenAndServe(); err != nil && err != http.ErrServerClosed {
@@ -312,23 +240,13 @@ func main() {
 		}()
 		defer srv.Close()
 		fmt.Printf("debug endpoint: http://%s/debug/metrics (and /debug/pprof)\n", *debug)
-		if leaderHandler != nil {
-			fmt.Printf("replication leader: followers attach with -follower http://%s\n", *debug)
-		}
 	}
 
 	var assignment *repro.BubbleAssignment
 	if *diverse {
 		assignment, _ = eng.DetectBubbles()
 	}
-	var now repro.Timestamp
-	if len(test) > 0 {
-		now = test[len(test)-1].Time
-	} else if n := ds.NumActions(); n > 0 {
-		// Follower mode has no local split; read at the newest
-		// checkpointed action time (the tailed stream only moves it on).
-		now = ds.Actions[n-1].Time
-	}
+	now := test[len(test)-1].Time
 
 	var (
 		wg     sync.WaitGroup
@@ -344,26 +262,23 @@ func main() {
 
 	// Writer: stream the test split in order, looping if the clock runs
 	// long. Looped replays re-mark existing shares and get stale-dropped,
-	// which is exactly the steady-state shape of a mature stream. A
-	// read replica has no writer — its stream arrives over /wal/.
-	if observeFn != nil {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for i := 0; ; i++ {
-				select {
-				case <-stop:
-					return
-				default:
-				}
-				a := test[i%len(test)]
-				if err := observeFn(a.User, a.Tweet, a.Time); err != nil {
-					log.Fatal(err)
-				}
-				writes.Add(1)
+	// which is exactly the steady-state shape of a mature stream.
+	wg.Add(1)
+	go func() {
+		defer wg.Done()
+		for i := 0; ; i++ {
+			select {
+			case <-stop:
+				return
+			default:
 			}
-		}()
-	}
+			a := test[i%len(test)]
+			if err := observeFn(a.User, a.Tweet, a.Time); err != nil {
+				log.Fatal(err)
+			}
+			writes.Add(1)
+		}
+	}()
 
 	for r := 0; r < *readers; r++ {
 		wg.Add(1)
@@ -437,13 +352,6 @@ func main() {
 			fmt.Printf("read p%.0f: %v  (reservoir of %d from %d sampled reads)\n",
 				p*100, qs[i].Round(time.Microsecond), samples.Len(), samples.Seen())
 		}
-	}
-
-	if fol != nil {
-		if err := fol.Err(); err != nil {
-			log.Fatalf("replication wedged during load: %v", err)
-		}
-		fmt.Printf("replica: applied index %d, lag %d\n", fol.AppliedIndex(), fol.Lag())
 	}
 
 	fmt.Println("\n--- engine metrics ---")

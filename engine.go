@@ -192,22 +192,16 @@ type Engine struct {
 	walBuf bufferedLog
 	// Durability plumbing installed by OpenEngine: the owned WAL (closed
 	// by Close — distinct from wal, which may be caller-supplied), the
-	// checkpoint directory and retention for the background checkpointer,
-	// and its lifecycle channels. ckptMu serializes Checkpoint calls so a
-	// manual checkpoint and the background one never interleave sequence
-	// numbers or WAL truncation.
+	// checkpoint directory for the background checkpointer, and its
+	// lifecycle channels. ckptMu serializes Checkpoint calls so a manual
+	// checkpoint and the background one never interleave sequence numbers
+	// or WAL truncation.
 	dwal      *durable.WAL
 	ckptDir   string
-	keepCkpts int
 	ckptMu    sync.Mutex
 	ckptStop  chan struct{}
 	ckptDone  chan struct{}
 	closeOnce sync.Once
-	// retainFloor, when installed (SetWALRetainFloor), lower-bounds WAL
-	// truncation below what checkpoint retention alone would allow — the
-	// replication leader pins segments its registered followers have not
-	// acknowledged yet. Guarded by ckptMu (Checkpoint holds it).
-	retainFloor func() (uint64, bool)
 
 	// refreshMu serializes RefreshGraphStats calls: the replay phase runs
 	// without the engine lock against a snapshot of the observed log, and

@@ -24,12 +24,10 @@ import (
 // IO over compression; a 20k-user dataset is a few tens of MB. The
 // trailer turns silent corruption into a load error — a dataset snapshot
 // feeds checkpoint recovery, so a flipped byte must be detected, not
-// decoded. Version-1 files ("SIMREC01", no version byte, no trailer) are
-// still read.
+// decoded.
 
 const (
 	magic        = "SIMREC02"
-	magicV1      = "SIMREC01"
 	codecVersion = 2
 )
 
@@ -99,9 +97,8 @@ func (d *Dataset) Save(w io.Writer) error {
 	return bw.Flush()
 }
 
-// Load reads a dataset previously written by Save. It accepts both the
-// current version-2 format (checksum-verified) and legacy version-1
-// files, and rejects streams with bytes past the declared payload.
+// Load reads a dataset previously written by Save, verifies its checksum
+// trailer, and rejects streams with bytes past the declared payload.
 func Load(r io.Reader) (*Dataset, error) {
 	br := bufio.NewReaderSize(r, 1<<20)
 	cr := crcio.NewReader(br)
@@ -109,20 +106,15 @@ func Load(r io.Reader) (*Dataset, error) {
 	if _, err := io.ReadFull(cr, head); err != nil {
 		return nil, fmt.Errorf("dataset: reading magic: %w", err)
 	}
-	checked := true
-	switch string(head) {
-	case magic:
-		var v [1]byte
-		if _, err := io.ReadFull(cr, v[:]); err != nil {
-			return nil, fmt.Errorf("dataset: reading version: %w", err)
-		}
-		if v[0] != codecVersion {
-			return nil, fmt.Errorf("dataset: unsupported format version %d", v[0])
-		}
-	case magicV1:
-		checked = false
-	default:
+	if string(head) != magic {
 		return nil, fmt.Errorf("dataset: bad magic %q", head)
+	}
+	var v [1]byte
+	if _, err := io.ReadFull(cr, v[:]); err != nil {
+		return nil, fmt.Errorf("dataset: reading version: %w", err)
+	}
+	if v[0] != codecVersion {
+		return nil, fmt.Errorf("dataset: unsupported format version %d", v[0])
 	}
 	le := binary.LittleEndian
 	var buf [16]byte
@@ -183,14 +175,12 @@ func Load(r io.Reader) (*Dataset, error) {
 			Time:  ids.Timestamp(le.Uint64(buf[8:16])),
 		})
 	}
-	if checked {
-		sum := cr.Sum // capture before the trailer passes through the reader
-		if _, err := io.ReadFull(br, buf[:4]); err != nil {
-			return nil, fmt.Errorf("dataset: reading checksum trailer: %w", err)
-		}
-		if got := le.Uint32(buf[:4]); got != sum {
-			return nil, fmt.Errorf("dataset: checksum mismatch: file says %08x, payload sums to %08x", got, sum)
-		}
+	sum := cr.Sum // capture before the trailer passes through the reader
+	if _, err := io.ReadFull(br, buf[:4]); err != nil {
+		return nil, fmt.Errorf("dataset: reading checksum trailer: %w", err)
+	}
+	if got := le.Uint32(buf[:4]); got != sum {
+		return nil, fmt.Errorf("dataset: checksum mismatch: file says %08x, payload sums to %08x", got, sum)
 	}
 	// The declared counts (and trailer) must exhaust the stream.
 	if _, err := br.ReadByte(); err != io.EOF {

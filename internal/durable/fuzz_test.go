@@ -72,122 +72,6 @@ func FuzzWALDecode(f *testing.F) {
 	})
 }
 
-// FuzzTailDecodeDifferential pins the replication tail decoder to the
-// recovery scanner on arbitrary bytes: TailDecoder.Feed (the follower's
-// segment-fetch framing) must deliver exactly the records ScanSegment
-// delivers, stop at exactly the same byte offset, and reject every
-// corruption ScanSegment rejects — whether the bytes arrive in one
-// chunk or dribble in over many rounds with the unconsumed tail
-// re-fed, as the fetch loop does.
-func FuzzTailDecodeDifferential(f *testing.F) {
-	f.Add([]byte{}, 3)
-	good := validSegmentBytes(3, testActions(4))
-	f.Add(good, 1)
-	f.Add(good[:len(good)-5], 7)        // torn (incomplete) tail
-	f.Add(append(good, 0xFF, 0xFF), 2)  // garbage tail
-	f.Add(validSegmentBytes(0, nil), 5) // empty segment
-	crcBad := append([]byte(nil), good...)
-	crcBad[len(crcBad)-1] ^= 0xFF // complete frame, bad checksum
-	f.Add(crcBad, 4)
-	huge := append([]byte(nil), good...)
-	binary.LittleEndian.PutUint32(huge[segHeaderSize:], 1<<31)
-	f.Add(huge, 3) // absurd declared record size
-	f.Fuzz(func(t *testing.T, data []byte, chunk int) {
-		var scanRecs []dataset.Action
-		st, scanErr := ScanSegment(bytes.NewReader(data), func(idx uint64, a dataset.Action) error {
-			scanRecs = append(scanRecs, a)
-			return nil
-		})
-		if scanErr != nil {
-			// Header rejected (short or bad magic). The decoder must not
-			// consume anything either: a short header waits for more
-			// bytes, a bad magic errors.
-			dec := NewTailDecoder(0)
-			n, err := dec.Feed(data, nil)
-			if n != 0 {
-				t.Fatalf("scanner rejected the header but decoder consumed %d bytes", n)
-			}
-			if len(data) >= segHeaderSize && err == nil && string(data[:len(segMagic)]) != segMagic {
-				t.Fatal("decoder accepted a header the scanner rejected")
-			}
-			return
-		}
-		first := st.FirstIndex
-
-		// Whole-buffer feed.
-		var decRecs []dataset.Action
-		var decIdxs []uint64
-		dec := NewTailDecoder(first)
-		consumed, decErr := dec.Feed(data, func(idx uint64, a dataset.Action) error {
-			decRecs = append(decRecs, a)
-			decIdxs = append(decIdxs, idx)
-			return nil
-		})
-
-		if len(decRecs) != len(scanRecs) {
-			t.Fatalf("decoder delivered %d records, scanner %d", len(decRecs), len(scanRecs))
-		}
-		for i := range decRecs {
-			if decRecs[i] != scanRecs[i] {
-				t.Fatalf("record %d: decoder %+v, scanner %+v", i, decRecs[i], scanRecs[i])
-			}
-			if decIdxs[i] != first+uint64(i) {
-				t.Fatalf("record %d carried index %d, want %d", i, decIdxs[i], first+uint64(i))
-			}
-		}
-		if dec.Offset() != st.GoodBytes {
-			t.Fatalf("decoder stopped at offset %d, scanner GoodBytes %d", dec.Offset(), st.GoodBytes)
-		}
-		if int64(consumed) != st.GoodBytes {
-			t.Fatalf("consumed %d bytes, scanner salvaged %d", consumed, st.GoodBytes)
-		}
-		if decErr != nil && !st.Torn {
-			t.Fatalf("decoder rejected (%v) what the scanner scanned cleanly", decErr)
-		}
-		if !st.Torn && int64(consumed) != int64(len(data)) {
-			t.Fatalf("clean input: consumed %d of %d bytes", consumed, len(data))
-		}
-
-		// Chunked feed with unconsumed-tail re-feeding (the fetch loop's
-		// exact access pattern) must land in the identical state.
-		if chunk <= 0 {
-			chunk = 1
-		}
-		dec2 := NewTailDecoder(first)
-		var recs2 int
-		var err2 error
-		var buf []byte
-		for off := 0; off < len(data); off += chunk {
-			end := off + chunk
-			if end > len(data) {
-				end = len(data)
-			}
-			buf = append(buf, data[off:end]...)
-			var n int
-			n, err2 = dec2.Feed(buf, func(idx uint64, a dataset.Action) error {
-				if a != scanRecs[recs2] {
-					t.Fatalf("chunked record %d diverged", recs2)
-				}
-				recs2++
-				return nil
-			})
-			buf = buf[n:]
-			if err2 != nil {
-				break
-			}
-		}
-		if recs2 != len(scanRecs) {
-			t.Fatalf("chunked feed delivered %d records, whole-buffer %d", recs2, len(scanRecs))
-		}
-		if dec2.Offset() != dec.Offset() {
-			t.Fatalf("chunked feed stopped at %d, whole-buffer at %d", dec2.Offset(), dec.Offset())
-		}
-		if (err2 == nil) != (decErr == nil) {
-			t.Fatalf("chunked feed error %v, whole-buffer %v", err2, decErr)
-		}
-	})
-}
-
 // FuzzManifestDecode pins the manifest decoder's contract on arbitrary
 // bytes: never panic, never allocate unbounded memory, and any input it
 // accepts must re-encode to a byte-identical image (the decode is a

@@ -11,7 +11,6 @@ package server
 import (
 	"repro"
 	"repro/internal/metrics"
-	"repro/internal/replica"
 	"repro/internal/shard"
 )
 
@@ -61,38 +60,6 @@ func ForEngine(e *repro.Engine) Backend {
 	return engineBackend{
 		Engine: e,
 		hists:  []*metrics.Histogram{e.MetricsRegistry().Histogram(engineLatencyName)},
-	}
-}
-
-// ReplicaSource marks a backend as a read replica. The server then
-// rejects observes (403 — the replica's tail loop is its only writer),
-// stamps every read with X-Replica-Lag, and 503s reads once lag
-// exceeds Options.MaxLag.
-type ReplicaSource interface {
-	// ReplicaLag reports how many leader records this backend has not
-	// applied yet; ok false means the signal is unavailable and reads
-	// pass unannotated.
-	ReplicaLag() (lag uint64, ok bool)
-}
-
-type followerBackend struct {
-	engineBackend
-	f *replica.Follower
-}
-
-func (b followerBackend) ReplicaLag() (uint64, bool) { return b.f.Lag(), true }
-
-// ForFollower adapts a replication follower: reads serve from its
-// warm engine with the staleness contract attached; writes are refused
-// by the server before they reach the backend.
-func ForFollower(f *replica.Follower) Backend {
-	e := f.Engine()
-	return followerBackend{
-		engineBackend: engineBackend{
-			Engine: e,
-			hists:  []*metrics.Histogram{e.MetricsRegistry().Histogram(engineLatencyName)},
-		},
-		f: f,
 	}
 }
 

@@ -11,7 +11,6 @@ import (
 
 	"repro"
 	"repro/internal/metrics"
-	"repro/internal/replica"
 )
 
 // Options configures a Server. The zero value serves with sensible
@@ -35,13 +34,6 @@ type Options struct {
 	// HTTP queueing on a saturated box, and it is the bound on a write
 	// storm against a wedged backend. 0 disables.
 	MaxInFlight int
-	// Replication, when set, mounts the leader's WAL-shipping endpoints
-	// under /wal/ so followers can bootstrap and tail this server.
-	Replication *replica.Leader
-	// MaxLag, when serving a replica backend (ForFollower), rejects
-	// reads with 503 once replication lag exceeds this many records.
-	// 0 means annotate (X-Replica-Lag) but never reject.
-	MaxLag uint64
 }
 
 // Server is the HTTP serving layer. Create with New, mount Handler on
@@ -64,7 +56,6 @@ type Options struct {
 //	GET  /healthz     200 "ok"
 type Server struct {
 	backend Backend
-	replica ReplicaSource // non-nil when backend is a read replica
 	cache   *recCache
 	shed    *shedder
 	reg     *metrics.Registry
@@ -74,7 +65,6 @@ type Server struct {
 	// Options.MaxInFlight it is the queue-aware shed signal.
 	inFlight    atomic.Int64
 	maxInFlight int64
-	maxLag      uint64
 	retryAfter  time.Duration
 
 	// lastTime tracks the newest observed timestamp, the default "now"
@@ -87,7 +77,6 @@ type Server struct {
 	mObserves   *metrics.Counter // server/http/observes
 	mBadReqs    *metrics.Counter // server/http/bad_requests
 	mQueueShed  *metrics.Counter // server/shed/queue_shed
-	mLagShed    *metrics.Counter // server/shed/lag_shed
 	gInFlight   *metrics.Gauge   // server/http/in_flight
 	mLatency    *metrics.Histogram
 }
@@ -108,18 +97,13 @@ func New(b Backend, opts Options) *Server {
 		cache:       newRecCache(reg, opts.CacheEntries),
 		reg:         reg,
 		maxInFlight: int64(opts.MaxInFlight),
-		maxLag:      opts.MaxLag,
 		retryAfter:  opts.RetryAfter,
-	}
-	if rs, ok := b.(ReplicaSource); ok {
-		s.replica = rs
 	}
 	s.shed = newShedder(b.RecommendLatency(), opts.P99Budget, opts.ShedWindow, opts.RetryAfter, opts.Clock, reg)
 	s.mRecommends = reg.Counter("server/http/recommends")
 	s.mObserves = reg.Counter("server/http/observes")
 	s.mBadReqs = reg.Counter("server/http/bad_requests")
 	s.mQueueShed = reg.Counter("server/shed/queue_shed")
-	s.mLagShed = reg.Counter("server/shed/lag_shed")
 	s.gInFlight = reg.Gauge("server/http/in_flight")
 	s.mLatency = reg.Histogram("server/http/latency_ns")
 
@@ -134,9 +118,6 @@ func New(b Backend, opts Options) *Server {
 	s.mux.HandleFunc("/healthz", func(w http.ResponseWriter, _ *http.Request) {
 		w.Write([]byte("ok\n"))
 	})
-	if opts.Replication != nil {
-		s.mux.Handle("/wal/", opts.Replication.Handler())
-	}
 	return s
 }
 
@@ -194,13 +175,6 @@ type observeRequest struct {
 func (s *Server) handleObserve(w http.ResponseWriter, r *http.Request) {
 	if r.Method != http.MethodPost {
 		http.Error(w, "POST only", http.StatusMethodNotAllowed)
-		return
-	}
-	if s.replica != nil {
-		// A replica's only writer is its tail loop; an accepted observe
-		// here would apply without being in the leader's log and diverge
-		// the replica forever.
-		http.Error(w, "read-only replica; observe on the leader", http.StatusForbidden)
 		return
 	}
 	if !s.admitInFlight(w) {
@@ -276,9 +250,6 @@ func (s *Server) handleRecommend(w http.ResponseWriter, r *http.Request) {
 		http.Error(w, "overloaded, backing off", http.StatusTooManyRequests)
 		return
 	}
-	if !s.annotateLag(w) {
-		return
-	}
 	q := r.URL.Query()
 	user, err := strconv.ParseUint(q.Get("user"), 10, 32)
 	if err != nil {
@@ -331,32 +302,7 @@ func (s *Server) writeRecommend(w http.ResponseWriter, verdict string, u repro.U
 	json.NewEncoder(w).Encode(recommendResponse{User: u, Now: now, Cold: cold, Recommendations: wire})
 }
 
-// annotateLag stamps the replica staleness contract onto a read
-// response: X-Replica-Lag always, and a 503 once lag exceeds MaxLag
-// (returning false — the caller must not serve). Leaders (no replica
-// source) pass through untouched.
-func (s *Server) annotateLag(w http.ResponseWriter) bool {
-	if s.replica == nil {
-		return true
-	}
-	lag, ok := s.replica.ReplicaLag()
-	if !ok {
-		return true
-	}
-	w.Header().Set("X-Replica-Lag", strconv.FormatUint(lag, 10))
-	if s.maxLag > 0 && lag > s.maxLag {
-		s.mLagShed.Inc()
-		w.Header().Set("Retry-After", strconv.Itoa(int(s.retryAfter/time.Second)))
-		http.Error(w, fmt.Sprintf("replica lag %d exceeds bound %d", lag, s.maxLag), http.StatusServiceUnavailable)
-		return false
-	}
-	return true
-}
-
 func (s *Server) handleSimilarity(w http.ResponseWriter, r *http.Request) {
-	if !s.annotateLag(w) {
-		return
-	}
 	q := r.URL.Query()
 	u, err1 := strconv.ParseUint(q.Get("u"), 10, 32)
 	v, err2 := strconv.ParseUint(q.Get("v"), 10, 32)

@@ -11,9 +11,9 @@ import (
 
 // This file implements the per-shard asynchronous ingest path: a bounded
 // mailbox per shard drained by one applier goroutine. A single producer
-// (a stream tailer, a replication feed) calls ObserveAsync and keeps all
-// K shards busy concurrently instead of rate-limiting the fleet to its
-// own round-trip through each shard's exclusive lock. The queue depth is
+// (a stream tailer) calls ObserveAsync and keeps all K shards busy
+// concurrently instead of rate-limiting the fleet to its own round-trip
+// through each shard's exclusive lock. The queue depth is
 // the back-pressure signal (router/shard/<i>/queue_depth); a full
 // mailbox blocks the producer, which is the correct default for a
 // durability-ordered stream (shedding belongs at the network layer,

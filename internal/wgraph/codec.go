@@ -22,12 +22,10 @@ import (
 // a single pass with no re-sort. The trailer turns silent snapshot
 // corruption (a flipped bit in an edge weight decodes fine) into a load
 // error; the version byte lets the format evolve without minting a new
-// magic string every time. Version-1 files ("SIMGRF01", no version byte,
-// no trailer) are still read.
+// magic string every time.
 
 const (
 	codecMagic   = "SIMGRF02"
-	codecMagicV1 = "SIMGRF01"
 	codecVersion = 2
 )
 
@@ -73,8 +71,7 @@ func (g *Graph) Save(w io.Writer) error {
 	return bw.Flush()
 }
 
-// Load reads a graph written by Save. It accepts both the current
-// version-2 format (checksum-verified) and legacy version-1 files, and
+// Load reads a graph written by Save, verifies its checksum trailer, and
 // rejects streams with bytes past the declared payload: trailing garbage
 // means the file was not produced by Save and cannot be trusted.
 func Load(r io.Reader) (*Graph, error) {
@@ -84,20 +81,15 @@ func Load(r io.Reader) (*Graph, error) {
 	if _, err := io.ReadFull(cr, head); err != nil {
 		return nil, fmt.Errorf("wgraph: reading magic: %w", err)
 	}
-	checked := true
-	switch string(head) {
-	case codecMagic:
-		var v [1]byte
-		if _, err := io.ReadFull(cr, v[:]); err != nil {
-			return nil, fmt.Errorf("wgraph: reading version: %w", err)
-		}
-		if v[0] != codecVersion {
-			return nil, fmt.Errorf("wgraph: unsupported format version %d", v[0])
-		}
-	case codecMagicV1:
-		checked = false
-	default:
+	if string(head) != codecMagic {
 		return nil, fmt.Errorf("wgraph: bad magic %q", head)
+	}
+	var v [1]byte
+	if _, err := io.ReadFull(cr, v[:]); err != nil {
+		return nil, fmt.Errorf("wgraph: reading version: %w", err)
+	}
+	if v[0] != codecVersion {
+		return nil, fmt.Errorf("wgraph: unsupported format version %d", v[0])
 	}
 	le := binary.LittleEndian
 	var buf [12]byte
@@ -130,14 +122,12 @@ func Load(r io.Reader) (*Graph, error) {
 			Weight: bitsFloat(le.Uint32(buf[8:12])),
 		})
 	}
-	if checked {
-		sum := cr.Sum // capture before the trailer passes through the reader
-		if _, err := io.ReadFull(br, buf[:4]); err != nil {
-			return nil, fmt.Errorf("wgraph: reading checksum trailer: %w", err)
-		}
-		if got := le.Uint32(buf[:4]); got != sum {
-			return nil, fmt.Errorf("wgraph: checksum mismatch: file says %08x, payload sums to %08x", got, sum)
-		}
+	sum := cr.Sum // capture before the trailer passes through the reader
+	if _, err := io.ReadFull(br, buf[:4]); err != nil {
+		return nil, fmt.Errorf("wgraph: reading checksum trailer: %w", err)
+	}
+	if got := le.Uint32(buf[:4]); got != sum {
+		return nil, fmt.Errorf("wgraph: checksum mismatch: file says %08x, payload sums to %08x", got, sum)
 	}
 	// The declared edge count (and trailer) must exhaust the stream.
 	if _, err := br.ReadByte(); err != io.EOF {

