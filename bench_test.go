@@ -18,13 +18,10 @@ import (
 	"repro/internal/gen"
 	"repro/internal/graph"
 	"repro/internal/ids"
-	"repro/internal/linalg"
-	"repro/internal/propagation"
 	"repro/internal/recsys"
 	"repro/internal/simgraph"
 	"repro/internal/similarity"
 	"repro/internal/stats"
-	"repro/internal/wgraph"
 
 	bayesrec "repro/internal/bayes"
 	cfrec "repro/internal/cf"
@@ -289,97 +286,6 @@ func BenchmarkFigure16UpdateStrategies(b *testing.B) {
 
 // ---------------------------------------------------------------------------
 // Ablations (DESIGN.md §5)
-
-func ablationGraphAndSeeds(b *testing.B) (*wgraph.Graph, []ids.UserID) {
-	benchSetup(b)
-	g := simgraph.Build(benchState.ds.Graph, benchState.store, simgraph.DefaultConfig())
-	var seeds []ids.UserID
-	for u := 0; u < g.NumNodes() && len(seeds) < 5; u++ {
-		if g.InDegree(ids.UserID(u)) > 0 {
-			seeds = append(seeds, ids.UserID(u))
-		}
-	}
-	return g, seeds
-}
-
-func BenchmarkAblationSolverFrontier(b *testing.B) {
-	g, seeds := ablationGraphAndSeeds(b)
-	pr := propagation.New(g, propagation.Config{Threshold: propagation.StaticThreshold(1e-9), MaxIterations: 500})
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		pr.Propagate(seeds, len(seeds))
-	}
-}
-
-func BenchmarkAblationSolverDense(b *testing.B) {
-	g, seeds := ablationGraphAndSeeds(b)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		propagation.DensePropagate(g, seeds, 1e-9, 500)
-	}
-}
-
-func BenchmarkAblationSolverJacobi(b *testing.B) {
-	g, seeds := ablationGraphAndSeeds(b)
-	a, rhs, err := propagation.LinearSystem(g, seeds)
-	if err != nil {
-		b.Fatal(err)
-	}
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, _, err := linalg.Jacobi(a, rhs, nil, 1e-9, 2000); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-func BenchmarkAblationSolverGaussSeidel(b *testing.B) {
-	g, seeds := ablationGraphAndSeeds(b)
-	a, rhs, err := propagation.LinearSystem(g, seeds)
-	if err != nil {
-		b.Fatal(err)
-	}
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, _, err := linalg.GaussSeidel(a, rhs, nil, 1e-9, 2000); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-func BenchmarkAblationSolverSOR(b *testing.B) {
-	g, seeds := ablationGraphAndSeeds(b)
-	a, rhs, err := propagation.LinearSystem(g, seeds)
-	if err != nil {
-		b.Fatal(err)
-	}
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, _, err := linalg.SOR(a, rhs, nil, 1.2, 1e-9, 2000); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-func BenchmarkAblationThresholdNone(b *testing.B) { benchThreshold(b, propagation.StaticThreshold(0)) }
-func BenchmarkAblationThresholdStatic(b *testing.B) {
-	benchThreshold(b, propagation.StaticThreshold(1e-4))
-}
-func BenchmarkAblationThresholdDynamic(b *testing.B) {
-	benchThreshold(b, propagation.NewDynamicThreshold())
-}
-
-func benchThreshold(b *testing.B, th propagation.Threshold) {
-	g, seeds := ablationGraphAndSeeds(b)
-	pr := propagation.New(g, propagation.Config{Threshold: th, MaxIterations: 500})
-	b.ResetTimer()
-	touched := 0
-	for i := 0; i < b.N; i++ {
-		pr.Propagate(seeds, 50) // popularity 50: dynamic cutoff bites
-		touched = pr.LastTouched()
-	}
-	b.ReportMetric(float64(touched), "touched")
-}
 
 func BenchmarkAblationTauSweep(b *testing.B) {
 	benchSetup(b)

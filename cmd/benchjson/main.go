@@ -24,8 +24,7 @@
 //
 // It also emits BENCH_propagation.json (see prop.go): the epoch-stamped
 // incremental propagation kernel vs the frozen reference on a streaming
-// replay (fixpoints verified bit-identical), and the postponed-batch
-// drain serial vs parallel; BENCH_shard.json (see shard.go): the
+// replay (fixpoints verified bit-identical); BENCH_shard.json (see shard.go): the
 // consistent-hash router's scaling curve and quality delta; and
 // BENCH_community.json (see community.go): community-detection cost and
 // the cluster-pruned build's speedup-vs-quality curve.
@@ -45,7 +44,6 @@ import (
 	"repro"
 	"repro/internal/dataset"
 	"repro/internal/gen"
-	"repro/internal/recsys"
 	"repro/internal/simgraph"
 	"repro/internal/similarity"
 	"repro/internal/wgraph"
@@ -132,24 +130,12 @@ func main() {
 	}
 	store := similarity.NewStore(ds.NumUsers(), ds.NumTweets(), ds.Actions)
 
-	kernelCfg := simgraph.DefaultConfig()
-	var kernelG *wgraph.Graph
-
 	if suites["simgraph"] {
-		kernelG = simgraphBench(ds, store, kernelCfg, *users, *seed, *runs, *observe, *out)
+		simgraphBench(ds, store, simgraph.DefaultConfig(), *users, *seed, *runs, *observe, *out)
 	}
 
 	if suites["propagation"] {
-		if kernelG == nil {
-			kernelG = simgraph.Build(ds.Graph, store, kernelCfg)
-		}
-		var tracked []repro.UserID
-		for u := 0; u < ds.NumUsers(); u++ {
-			tracked = append(tracked, repro.UserID(u))
-		}
-		ctx := recsys.NewContext(ds, ds.Actions, tracked, *seed)
-		propagationBench(*propNodes, *propDeg, *propTweets, *propPerTweet, *runs, *seed,
-			ds, ctx, kernelG, *observe, *propOut)
+		propagationBench(*propNodes, *propDeg, *propTweets, *propPerTweet, *runs, *seed, *propOut)
 	}
 
 	if suites["shard"] {
@@ -164,9 +150,8 @@ func main() {
 	}
 }
 
-// simgraphBench runs the construction/refresh suite, writes out, and
-// returns the kernel-built graph for downstream suites.
-func simgraphBench(ds *dataset.Dataset, store *similarity.Store, kernelCfg simgraph.Config, users int, seed uint64, runs, observe int, out string) *wgraph.Graph {
+// simgraphBench runs the construction/refresh suite and writes out.
+func simgraphBench(ds *dataset.Dataset, store *similarity.Store, kernelCfg simgraph.Config, users int, seed uint64, runs, observe int, out string) {
 	var r report
 	r.GeneratedAt = time.Now().UTC().Format(time.RFC3339)
 	r.GoVersion = runtime.Version()
@@ -238,7 +223,6 @@ func simgraphBench(ds *dataset.Dataset, store *similarity.Store, kernelCfg simgr
 			incr.DirtyUsers, r.IncrementalExactOnDirty)
 	}
 	fmt.Printf("wrote %s\n", out)
-	return kernelG
 }
 
 // parseSuites validates the -suite list against the known families.

@@ -8,18 +8,14 @@ import (
 	"runtime"
 	"time"
 
-	"repro/internal/dataset"
 	"repro/internal/ids"
 	"repro/internal/propagation"
-	"repro/internal/recsys"
-	"repro/internal/simgraph"
 	"repro/internal/wgraph"
 	"repro/internal/xrand"
 )
 
 // propReport is the BENCH_propagation.json schema: the epoch-stamped
-// AddSeeds kernel versus the frozen RefIncremental on a streaming replay,
-// plus the serial-versus-parallel postponed-batch drain.
+// AddSeeds kernel versus the frozen RefIncremental on a streaming replay.
 type propReport struct {
 	GeneratedAt string `json:"generated_at"`
 	GoVersion   string `json:"go_version"`
@@ -38,17 +34,6 @@ type propReport struct {
 		Speedup      float64 `json:"speedup"`
 		BitIdentical bool    `json:"bit_identical"`
 	} `json:"kernel"`
-
-	Drain struct {
-		Users           int     `json:"users"`
-		Actions         int     `json:"replay_actions"`
-		ParallelWorkers int     `json:"parallel_workers"`
-		SerialDrainMs   float64 `json:"serial_drain_ms"`
-		ParallelDrainMs float64 `json:"parallel_drain_ms"`
-		Speedup         float64 `json:"speedup"`
-		Drains          uint64  `json:"drains"`
-		DrainedBatches  uint64  `json:"drained_batches"`
-	} `json:"drain"`
 }
 
 // propGraph builds the synthetic similarity graph the kernel replay runs
@@ -130,29 +115,9 @@ func statesIdentical(a, b []*propagation.TweetState) bool {
 	return true
 }
 
-// drainReplay streams the tail of the generated dataset through a
-// postponed recommender and returns its drain counters plus replay wall
-// time. workers <= 0 uses the parallel default.
-func drainReplay(ds *dataset.Dataset, ctx *recsys.Context, g *wgraph.Graph, actions []dataset.Action, workers int) (simgraph.PropagationStats, time.Duration) {
-	cfg := simgraph.DefaultRecommenderConfig()
-	cfg.Postpone = true
-	cfg.PostponeMin = 2 * ids.Minute
-	cfg.PostponeMax = 30 * ids.Minute
-	cfg.DrainWorkers = workers
-	r := simgraph.NewRecommender(cfg)
-	r.InitWithGraph(ctx, g)
-	start := time.Now()
-	for _, a := range actions {
-		r.Observe(a)
-	}
-	// Flush the frames still pending at end of stream.
-	r.Recommend(ctx.Tracked[0], 1, actions[len(actions)-1].Time+cfg.PostponeMax)
-	return r.Stats(), time.Since(start)
-}
-
-// propagationBench runs both comparisons and writes BENCH_propagation.json.
-func propagationBench(nodes, deg, tweets, perTweet, runs int, seed uint64,
-	ds *dataset.Dataset, ctx *recsys.Context, simG *wgraph.Graph, observe int, out string) {
+// propagationBench runs the kernel comparison and writes
+// BENCH_propagation.json.
+func propagationBench(nodes, deg, tweets, perTweet, runs int, seed uint64, out string) {
 	var r propReport
 	r.GeneratedAt = time.Now().UTC().Format(time.RFC3339)
 	r.GoVersion = runtime.Version()
@@ -194,43 +159,6 @@ func propagationBench(nodes, deg, tweets, perTweet, runs int, seed uint64,
 		log.Fatal("epoch-stamped kernel diverged from the reference fixpoints")
 	}
 
-	n := observe
-	if n > len(ds.Actions) {
-		n = len(ds.Actions)
-	}
-	tail := ds.Actions[len(ds.Actions)-n:]
-	// Force at least two workers so the pool dispatch path is measured
-	// even on a single-core box (where it can only cost, not gain).
-	parWorkers := runtime.GOMAXPROCS(0)
-	if parWorkers > 8 {
-		parWorkers = 8
-	}
-	if parWorkers < 2 {
-		parWorkers = 2
-	}
-	var serialStats, parStats simgraph.PropagationStats
-	var serialWall, parWall time.Duration
-	for i := 0; i < runs; i++ {
-		st, d := drainReplay(ds, ctx, simG, tail, 1)
-		if i == 0 || d < serialWall {
-			serialWall, serialStats = d, st
-		}
-		st, d = drainReplay(ds, ctx, simG, tail, parWorkers)
-		if i == 0 || d < parWall {
-			parWall, parStats = d, st
-		}
-	}
-	r.Drain.Users = ds.NumUsers()
-	r.Drain.Actions = n
-	r.Drain.ParallelWorkers = parWorkers
-	r.Drain.SerialDrainMs = ms(serialStats.DrainTime)
-	r.Drain.ParallelDrainMs = ms(parStats.DrainTime)
-	if parStats.DrainTime > 0 {
-		r.Drain.Speedup = serialStats.DrainTime.Seconds() / parStats.DrainTime.Seconds()
-	}
-	r.Drain.Drains = parStats.Drains
-	r.Drain.DrainedBatches = parStats.DrainedBatches
-
 	buf, err := json.MarshalIndent(r, "", "  ")
 	if err != nil {
 		log.Fatal(err)
@@ -241,9 +169,6 @@ func propagationBench(nodes, deg, tweets, perTweet, runs int, seed uint64,
 	}
 	fmt.Printf("propagation: %d actions, kernel %.1fms vs reference %.1fms (%.1fx), fixpoints bit-identical\n",
 		r.Kernel.Actions, r.Kernel.KernelMs, r.Kernel.RefMs, r.Kernel.Speedup)
-	fmt.Printf("drain: serial %.1fms vs %d workers %.1fms (%.1fx) over %d drains / %d batches\n",
-		r.Drain.SerialDrainMs, r.Drain.ParallelWorkers, r.Drain.ParallelDrainMs, r.Drain.Speedup,
-		r.Drain.Drains, r.Drain.DrainedBatches)
 	if r.Kernel.Speedup < 3 {
 		log.Printf("warning: kernel speedup %.2fx below the 3x target", r.Kernel.Speedup)
 	}

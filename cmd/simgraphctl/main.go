@@ -221,20 +221,30 @@ func runPropagation(ds *dataset.Dataset, t ids.TweetID, tau float64) {
 			seeds = append(seeds, a.User)
 		}
 	}
-	prop := propagation.New(g, propagation.DefaultConfig())
-	res := prop.Propagate(seeds, len(seeds))
-	fmt.Printf("tweet %d: %d sharers, propagation reached %d users in %d rounds\n",
-		t, len(seeds), res.Len(), prop.LastIterations())
+	pcfg := propagation.DefaultConfig()
+	inc := propagation.NewIncremental(g, pcfg)
+	st := propagation.NewTweetState()
+	inc.AddSeeds(st, seeds, len(seeds))
 
 	type scored struct {
 		u ids.UserID
 		s float64
 	}
-	top := make([]scored, 0, res.Len())
-	for i, u := range res.Users {
-		top = append(top, scored{u, res.Scores[i]})
+	var top []scored
+	for u, p := range st.P {
+		if _, isSeed := st.Seeds[u]; !isSeed && p > pcfg.MinScore {
+			top = append(top, scored{u, p})
+		}
 	}
-	sort.Slice(top, func(i, j int) bool { return top[i].s > top[j].s })
+	fmt.Printf("tweet %d: %d sharers, propagation reached %d users in %d rounds\n",
+		t, len(seeds), len(top), inc.LastRounds())
+
+	sort.Slice(top, func(i, j int) bool {
+		if top[i].s != top[j].s {
+			return top[i].s > top[j].s
+		}
+		return top[i].u < top[j].u
+	})
 	if len(top) > 15 {
 		top = top[:15]
 	}

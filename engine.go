@@ -61,10 +61,6 @@ type EngineOptions struct {
 	StaticBeta float64
 	// Postpone batches propagations on the adaptive time-frame schedule.
 	Postpone bool
-	// DrainWorkers bounds the worker pool that propagates due postponed
-	// batches in parallel. <= 0 picks min(GOMAXPROCS, 8); 1 forces a
-	// serial drain. Only meaningful with Postpone.
-	DrainWorkers int
 	// MaxAge is the recommendation freshness horizon (paper: 72 h).
 	MaxAge Timestamp
 	// TrackUsers limits recommendation state to these users; nil tracks
@@ -161,10 +157,6 @@ type Engine struct {
 	// observedNewest is the largest action timestamp streamed so far; it
 	// anchors the replay horizon. Guarded by mu.
 	observedNewest Timestamp
-	// props pools per-worker Propagator scratch for PropagateScores; the
-	// dense buffers are expensive to allocate per call and each pooled
-	// propagator is rebound to the current graph on checkout.
-	props sync.Pool
 
 	// clusters is the current community embedding (nil until the first
 	// detection, or always when ClusterPrune is off). Atomic because the
@@ -176,8 +168,8 @@ type Engine struct {
 
 	// onChanged is the score-change hook (SetOnScoresChanged): serving
 	// layers hang cache invalidation here. Atomic because it is installed
-	// after construction and read on every Observe/propagation, possibly
-	// under the exclusive lock or on drain workers. The indirection
+	// after construction and read on every Observe/propagation, under the
+	// exclusive lock or, for a postponed drain, on a reader. The indirection
 	// through fireScoresChanged means recommenders built later (refresh
 	// swaps) keep firing the currently installed hook.
 	onChanged atomic.Pointer[func(users []UserID)]
@@ -359,7 +351,6 @@ func (e *Engine) recommenderConfig() simgraph.RecommenderConfig {
 	rcfg.Graph.PruneMinOverlap = e.opts.PruneMinOverlap
 	rcfg.Graph.Clusters = e.clusters.Load()
 	rcfg.Postpone = e.opts.Postpone
-	rcfg.DrainWorkers = e.opts.DrainWorkers
 	rcfg.Metrics = e.metrics
 	rcfg.OnChanged = e.fireScoresChanged
 	return rcfg
@@ -372,9 +363,11 @@ func (e *Engine) recommenderConfig() simgraph.RecommenderConfig {
 // have changed at once (a graph refresh swapped the recommender).
 //
 // fn may be called concurrently with itself, from Observe callers,
-// drain workers, or refresh goroutines, sometimes while engine locks
-// are held: it must be fast, safe for concurrent use, and must not call
-// back into the Engine. Serving layers hang cache invalidation here
+// readers draining postponed batches, or refresh goroutines, sometimes
+// while engine or recommender locks are held: it must be fast, safe for
+// concurrent use, and must not call back into the Engine. It must not
+// retain or modify users: the slice is propagation scratch that the next
+// propagation overwrites. Serving layers hang cache invalidation here
 // (see internal/server).
 func (e *Engine) SetOnScoresChanged(fn func(users []UserID)) {
 	if fn == nil {
@@ -517,9 +510,11 @@ func (e *Engine) coldStartAggregate(u UserID, k int, now Timestamp) []Recommenda
 
 // PropagateScores runs one propagation for a hypothetical tweet shared by
 // seeds and returns every reached user with its predicted probability.
-// It exposes the raw §5 algorithm for analysis and tooling. Concurrent
-// callers each check a propagator out of a sync.Pool, so parallel calls
-// never share scratch buffers.
+// It exposes the raw §5 algorithm for analysis and tooling, on the same
+// kernel Observe runs: Incremental.AddSeeds into a fresh tweet state at
+// propagation.DefaultConfig(). The result drops the seeds and every score
+// at or below DefaultConfig().MinScore. Each call allocates its own
+// scratch, so parallel calls share nothing.
 //
 // Seeds outside the dataset's user range are dropped at this boundary
 // (counted by engine/propagate/invalid_seeds), mirroring validateIDs on
@@ -531,19 +526,15 @@ func (e *Engine) PropagateScores(seeds []UserID) map[UserID]float64 {
 	seeds = e.validSeeds(seeds)
 	e.mu.RLock()
 	defer e.mu.RUnlock()
-	g := e.rec.Graph()
-	prop, _ := e.props.Get().(*propagation.Propagator)
-	if prop == nil {
-		prop = propagation.New(g, propagation.DefaultConfig())
-	} else {
-		prop.Rebind(g)
+	cfg := propagation.DefaultConfig()
+	st := propagation.NewTweetState()
+	propagation.NewIncremental(e.rec.Graph(), cfg).AddSeeds(st, seeds, len(seeds))
+	out := make(map[UserID]float64, len(st.P))
+	for u, p := range st.P {
+		if _, isSeed := st.Seeds[u]; !isSeed && p > cfg.MinScore {
+			out[u] = p
+		}
 	}
-	res := prop.Propagate(seeds, len(seeds))
-	out := make(map[UserID]float64, res.Len())
-	for i, u := range res.Users {
-		out[u] = res.Scores[i]
-	}
-	e.props.Put(prop)
 	return out
 }
 

@@ -78,7 +78,7 @@ func runReadersAgainstWriter(t *testing.T, eng *Engine, test []Action, now Times
 		}(i)
 	}
 
-	// Two extra goroutines hammer the pooled-propagator path.
+	// Two extra goroutines hammer the one-shot PropagateScores path.
 	for i := 0; i < 2; i++ {
 		wg.Add(1)
 		go func(seed UserID) {

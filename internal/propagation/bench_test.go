@@ -4,13 +4,16 @@ import (
 	"testing"
 
 	"repro/internal/ids"
+	"repro/internal/linalg"
+	"repro/internal/wgraph"
 	"repro/internal/xrand"
 )
 
-// Benchmarks comparing the epoch-stamped kernels against the frozen
-// reference implementations (reference.go). cmd/benchjson runs the same
-// comparison on a streaming replay and emits BENCH_propagation.json; CI
-// runs these once (-benchtime=1x) as a smoke check.
+// Benchmarks comparing the epoch-stamped kernel against the frozen
+// reference implementation (reference.go), plus the DESIGN.md §5 solver
+// and threshold ablations. cmd/benchjson runs the kernel comparison on a
+// streaming replay and emits BENCH_propagation.json; CI runs these once
+// (-benchtime=1x) as a smoke check.
 
 const (
 	benchNodes = 20000
@@ -24,33 +27,6 @@ func benchSeeds(n, count int, seed uint64) []ids.UserID {
 		out[i] = ids.UserID(rng.Intn(n))
 	}
 	return out
-}
-
-// BenchmarkPropagateKernel / Ref: one full Propagate per iteration on a
-// graph large enough that the O(n) reset and sweep dominate the frontier
-// work — the regime the epoch-stamped scratch eliminates.
-func BenchmarkPropagateKernel(b *testing.B) {
-	g := randomSimGraph(benchNodes, benchDeg, 1)
-	cfg := Config{Threshold: StaticThreshold(0.05), MaxIterations: 50}
-	pr := New(g, cfg)
-	seeds := benchSeeds(benchNodes, 4, 2)
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		pr.Propagate(seeds, len(seeds))
-	}
-}
-
-func BenchmarkPropagateRef(b *testing.B) {
-	g := randomSimGraph(benchNodes, benchDeg, 1)
-	cfg := Config{Threshold: StaticThreshold(0.05), MaxIterations: 50}
-	pr := NewRefPropagator(g, cfg)
-	seeds := benchSeeds(benchNodes, 4, 2)
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		pr.Propagate(seeds, len(seeds))
-	}
 }
 
 // BenchmarkAddSeedsKernel / Ref: a streaming replay — every iteration
@@ -80,4 +56,87 @@ func BenchmarkAddSeedsRef(b *testing.B) {
 	g := randomSimGraph(benchNodes, benchDeg, 1)
 	inc := NewRefIncremental(g, Config{Threshold: StaticThreshold(1e-6), MaxIterations: 200})
 	benchAddSeeds(b, inc.AddSeeds)
+}
+
+// Ablations (DESIGN.md §5). The solver benchmarks reach the same fixpoint
+// five ways on one synthetic graph: the production frontier kernel, the
+// literal dense sweeps, and the three linalg solvers over the §5.2
+// system. The threshold benchmarks report how many users one
+// propagation recomputes under each cutoff.
+
+const ablationNodes = 2000
+
+func ablationGraphSeeds() (*wgraph.Graph, []ids.UserID) {
+	return randomSimGraph(ablationNodes, benchDeg, 4), benchSeeds(ablationNodes, 5, 5)
+}
+
+func BenchmarkAblationSolverFrontier(b *testing.B) {
+	g, seeds := ablationGraphSeeds()
+	inc := NewIncremental(g, Config{Threshold: StaticThreshold(1e-9), MaxIterations: 500})
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		inc.AddSeeds(NewTweetState(), seeds, len(seeds))
+	}
+}
+
+func BenchmarkAblationSolverDense(b *testing.B) {
+	g, seeds := ablationGraphSeeds()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		densePropagate(g, seeds, 1e-9, 500)
+	}
+}
+
+func benchLinearSolve(b *testing.B, solve func(a *linalg.CSR, rhs []float64) error) {
+	b.Helper()
+	g, seeds := ablationGraphSeeds()
+	a, rhs, err := linearSystem(g, seeds)
+	if err != nil {
+		b.Fatal(err)
+	}
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if err := solve(a, rhs); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
+func BenchmarkAblationSolverJacobi(b *testing.B) {
+	benchLinearSolve(b, func(a *linalg.CSR, rhs []float64) error {
+		_, _, err := linalg.Jacobi(a, rhs, nil, 1e-9, 2000)
+		return err
+	})
+}
+
+func BenchmarkAblationSolverGaussSeidel(b *testing.B) {
+	benchLinearSolve(b, func(a *linalg.CSR, rhs []float64) error {
+		_, _, err := linalg.GaussSeidel(a, rhs, nil, 1e-9, 2000)
+		return err
+	})
+}
+
+func BenchmarkAblationSolverSOR(b *testing.B) {
+	benchLinearSolve(b, func(a *linalg.CSR, rhs []float64) error {
+		_, _, err := linalg.SOR(a, rhs, nil, 1.2, 1e-9, 2000)
+		return err
+	})
+}
+
+func BenchmarkAblationThresholdNone(b *testing.B)   { benchThreshold(b, StaticThreshold(0)) }
+func BenchmarkAblationThresholdStatic(b *testing.B) { benchThreshold(b, StaticThreshold(1e-4)) }
+func BenchmarkAblationThresholdDynamic(b *testing.B) {
+	benchThreshold(b, NewDynamicThreshold())
+}
+
+func benchThreshold(b *testing.B, th Threshold) {
+	g, seeds := ablationGraphSeeds()
+	inc := NewIncremental(g, Config{Threshold: th, MaxIterations: 500})
+	b.ResetTimer()
+	recomputed := 0
+	for i := 0; i < b.N; i++ {
+		inc.AddSeeds(NewTweetState(), seeds, 50) // popularity 50: dynamic cutoff bites
+		recomputed = inc.LastRecomputed()
+	}
+	b.ReportMetric(float64(recomputed), "recomputed")
 }

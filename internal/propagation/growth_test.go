@@ -35,67 +35,40 @@ func (v *growingView) In(u ids.UserID) ([]ids.UserID, []float32) {
 
 var _ wgraph.View = (*growingView)(nil)
 
-// Regression: Propagate used to size its dense scratch once at New and
-// then index it with the view's *current* NumNodes, so a view that grew
-// made pr.p[s] panic. The scratch must regrow defensively.
+// Regression: the kernel used to size its dense scratch once and then
+// index it with the view's *current* NumNodes, so a view that grew
+// panicked. One Incremental must regrow its scratch defensively.
 func TestPropagateSurvivesGrownView(t *testing.T) {
 	base := paperGraph()
 	gv := &growingView{base: base, n: base.NumNodes()}
-	pr := New(gv, DefaultConfig())
+	inc := NewIncremental(gv, DefaultConfig())
 
-	before := pr.Propagate([]ids.UserID{nodeX}, 1)
-	if before.Len() == 0 {
+	before := oneShot(inc, []ids.UserID{nodeX})
+	if len(before) == 0 {
 		t.Fatal("propagation over base reached nobody")
 	}
 
-	// The view grows beyond the scratch allocated at New time; seeding one
+	// The view grows beyond the scratch the first call sized; seeding one
 	// of the new (edgeless) nodes exercises every indexed access.
 	gv.n = base.NumNodes() + 7
 	grown := ids.UserID(base.NumNodes() + 3)
-	res := pr.Propagate([]ids.UserID{nodeX, grown}, 2)
-	if res.Len() == 0 {
+	res := oneShot(inc, []ids.UserID{nodeX, grown})
+	if len(res) == 0 {
 		t.Fatal("propagation over grown view reached nobody")
 	}
-	for i, u := range res.Users {
-		if u == grown {
-			t.Fatalf("edgeless grown seed %d scored %v", u, res.Scores[i])
-		}
+	if p, ok := res[grown]; ok {
+		t.Fatalf("edgeless grown seed %d scored %v", grown, p)
 	}
 
 	// Shrinking back must not leak stale tail state into the results.
 	gv.n = base.NumNodes()
-	again := pr.Propagate([]ids.UserID{nodeX}, 1)
-	if again.Len() != before.Len() {
-		t.Fatalf("results changed after grow/shrink cycle: %d vs %d users", again.Len(), before.Len())
+	again := oneShot(inc, []ids.UserID{nodeX})
+	if len(again) != len(before) {
+		t.Fatalf("results changed after grow/shrink cycle: %d vs %d users", len(again), len(before))
 	}
-	for i := range again.Users {
-		if again.Users[i] != before.Users[i] || math.Abs(again.Scores[i]-before.Scores[i]) > 1e-12 {
+	for u, p := range before {
+		if math.Abs(again[u]-p) > 1e-12 {
 			t.Fatalf("score drift after grow/shrink: %v vs %v", again, before)
-		}
-	}
-}
-
-// Rebind must regrow scratch and produce the same result a fresh
-// propagator over the new graph would.
-func TestRebindMatchesFresh(t *testing.T) {
-	small := paperGraph()
-	big := randomSimGraph(200, 6, 42)
-
-	pr := New(small, DefaultConfig())
-	pr.Propagate([]ids.UserID{nodeX}, 1) // dirty the scratch
-
-	pr.Rebind(big)
-	got := pr.Propagate([]ids.UserID{3, 17}, 2)
-
-	fresh := New(big, DefaultConfig())
-	want := fresh.Propagate([]ids.UserID{3, 17}, 2)
-
-	if got.Len() != want.Len() {
-		t.Fatalf("rebound propagator reached %d users, fresh reached %d", got.Len(), want.Len())
-	}
-	for i := range got.Users {
-		if got.Users[i] != want.Users[i] || math.Abs(got.Scores[i]-want.Scores[i]) > 1e-12 {
-			t.Fatalf("rebound result diverges at %d: %v vs %v", i, got.Users[i], want.Users[i])
 		}
 	}
 }

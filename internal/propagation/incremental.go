@@ -2,7 +2,6 @@ package propagation
 
 import (
 	"math"
-	"sync"
 
 	"repro/internal/epoch"
 	"repro/internal/ids"
@@ -22,12 +21,10 @@ import (
 // same fixpoint Algorithm 1 reaches from scratch; the package tests
 // verify the equivalence.
 //
-// TweetState carries its own mutex so independent tweets can be
-// propagated by concurrent workers (the parallel postponed-batch drain):
-// a caller holds Lock across AddSeeds plus any read of P/Changed, and
-// states of distinct tweets never contend.
+// TweetState has no lock of its own: its owner serializes every AddSeeds
+// and every read of P/Changed that may overlap one (simgraph.Recommender
+// holds its mutex across both).
 type TweetState struct {
-	mu      sync.Mutex
 	P       map[ids.UserID]float64
 	Seeds   map[ids.UserID]struct{}
 	Changed []ids.UserID // users whose score changed in the last call
@@ -41,16 +38,9 @@ func NewTweetState() *TweetState {
 	}
 }
 
-// Lock acquires the per-tweet mutex. Concurrent propagations into the
-// same state must serialize on it; single-threaded callers may skip it.
-func (st *TweetState) Lock() { st.mu.Lock() }
-
-// Unlock releases the per-tweet mutex.
-func (st *TweetState) Unlock() { st.mu.Unlock() }
-
 // Incremental runs incremental propagations over one similarity graph.
-// It owns scratch shared across tweets; not safe for concurrent use —
-// the parallel drain checks one out per worker.
+// It owns scratch shared across tweets and is not safe for concurrent
+// use: one writer owns it (simgraph.Recommender keeps one per graph).
 //
 // The hot loop runs entirely on epoch-stamped dense scratch (package epoch):
 // AddSeeds scatters the sparse TweetState into dense arrays once, so the
@@ -88,8 +78,8 @@ func NewIncremental(g wgraph.View, cfg Config) *Incremental {
 // AddSeeds pins the given users to probability 1 in st and propagates the
 // change outward. popularity is the tweet's current retweet count (drives
 // the dynamic threshold). st.Changed lists every non-seed user whose
-// score changed, in discovery order. Callers coordinating concurrent
-// workers must hold st's lock.
+// score changed, in discovery order; it is valid until the next AddSeeds
+// into st.
 func (inc *Incremental) AddSeeds(st *TweetState, seeds []ids.UserID, popularity int) {
 	cutoff := inc.cfg.Threshold.Cutoff(popularity)
 	st.Changed = st.Changed[:0]

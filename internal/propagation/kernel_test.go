@@ -10,52 +10,12 @@ import (
 	"repro/internal/xrand"
 )
 
-// Differential tests pinning the epoch-stamped kernels to the frozen
-// reference implementations (reference.go) and the literal Algorithm 1
-// (DensePropagate). The kernels recompute scores in exactly the same
-// order as the references, so the comparisons are exact, not tolerance-
+// Differential tests pinning the epoch-stamped kernel to the frozen
+// reference implementation (reference.go) and the literal Algorithm 1
+// (densePropagate). The kernel recomputes scores in exactly the same
+// order as the reference, so that comparison is exact, not tolerance-
 // based — any drift means the kernel changed the arithmetic, not just
 // the bookkeeping.
-
-func refResultMap(res Result) map[ids.UserID]float64 {
-	m := make(map[ids.UserID]float64, res.Len())
-	for i, u := range res.Users {
-		m[u] = res.Scores[i]
-	}
-	return m
-}
-
-// TestPropagateMatchesRefAcrossReuse: one epoch-stamped Propagator reused
-// (and rebound) across many graphs and seed sets must return exactly what
-// a fresh reference propagator returns each time — catching any state
-// leaking across epochs.
-func TestPropagateMatchesRefAcrossReuse(t *testing.T) {
-	cfg := Config{Threshold: StaticThreshold(1e-9), MaxIterations: 300, MinScore: 0}
-	pr := New(randomSimGraph(10, 2, 1), cfg)
-	f := func(seed uint64) bool {
-		n := 20 + int(seed%40)
-		g := randomSimGraph(n, 3, seed)
-		rng := xrand.New(seed ^ 5)
-		seeds := []ids.UserID{
-			ids.UserID(rng.Intn(n)), ids.UserID(rng.Intn(n)), ids.UserID(rng.Intn(n + 10)),
-		}
-		pr.Rebind(g)
-		got := pr.Propagate(seeds, len(seeds))
-		want := NewRefPropagator(g, cfg).Propagate(seeds, len(seeds))
-		if len(got.Users) != len(want.Users) {
-			return false
-		}
-		for i := range got.Users {
-			if got.Users[i] != want.Users[i] || got.Scores[i] != want.Scores[i] {
-				return false
-			}
-		}
-		return true
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 60}); err != nil {
-		t.Error(err)
-	}
-}
 
 // TestIncrementalMatchesRefExact: the epoch-stamped AddSeeds processes the
 // same queue in the same order with the same float additions as the
@@ -158,40 +118,6 @@ func TestIncrementalStats(t *testing.T) {
 	}
 }
 
-// FuzzPropagate pins the epoch-stamped Propagator to the literal
-// Algorithm 1 oracle across fuzzer-chosen graphs and seed sets, reusing
-// one propagator across runs the way the serving path does.
-func FuzzPropagate(f *testing.F) {
-	f.Add(uint64(1), uint8(3), uint8(9))
-	f.Add(uint64(42), uint8(0), uint8(0))
-	f.Add(uint64(977), uint8(200), uint8(55))
-	cfg := Config{Threshold: StaticThreshold(1e-12), MaxIterations: 500, MinScore: 0}
-	pr := New(randomSimGraph(5, 2, 3), cfg)
-	f.Fuzz(func(t *testing.T, seed uint64, s1, s2 uint8) {
-		n := 10 + int(seed%50)
-		g := randomSimGraph(n, 3, seed)
-		seeds := []ids.UserID{ids.UserID(int(s1) % (n + 5)), ids.UserID(int(s2) % (n + 5))}
-		pr.Rebind(g)
-		res := pr.Propagate(seeds, len(seeds))
-		got := refResultMap(res)
-		dense, _ := DensePropagate(g, seeds, 1e-12, 500)
-		isSeed := map[ids.UserID]bool{}
-		for _, s := range seeds {
-			if int(s) < n {
-				isSeed[s] = true
-			}
-		}
-		for u := 0; u < n; u++ {
-			if isSeed[ids.UserID(u)] {
-				continue
-			}
-			if math.Abs(dense[u]-got[ids.UserID(u)]) > 1e-6 {
-				t.Fatalf("node %d: kernel %v vs dense %v", u, got[ids.UserID(u)], dense[u])
-			}
-		}
-	})
-}
-
 // FuzzIncremental drives multi-call AddSeeds sequences against both the
 // frozen reference (exact) and the dense oracle (tolerance), with seed
 // IDs that may fall outside the graph.
@@ -226,7 +152,7 @@ func FuzzIncremental(f *testing.F) {
 		if len(all) == 0 {
 			return
 		}
-		dense, _ := DensePropagate(g, all, 1e-12, 1000)
+		dense, _ := densePropagate(g, all, 1e-12, 1000)
 		for u := 0; u < n; u++ {
 			if _, isSeed := st.Seeds[ids.UserID(u)]; isSeed {
 				continue
@@ -239,10 +165,10 @@ func FuzzIncremental(f *testing.F) {
 }
 
 // TestLinearSystemIgnoresOutOfRangeSeeds: the §5.2 matrix construction
-// must skip out-of-range seed IDs like the propagators do.
+// must skip out-of-range seed IDs like AddSeeds does.
 func TestLinearSystemIgnoresOutOfRangeSeeds(t *testing.T) {
 	g := paperGraph()
-	a, bvec, err := LinearSystem(g, []ids.UserID{nodeX, 99})
+	a, bvec, err := linearSystem(g, []ids.UserID{nodeX, 99})
 	if err != nil {
 		t.Fatal(err)
 	}

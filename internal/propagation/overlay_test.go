@@ -16,19 +16,15 @@ func TestPropagateOverOverlay(t *testing.T) {
 	o := wgraph.NewOverlay(base)
 
 	cfg := Config{Threshold: StaticThreshold(0), MaxIterations: 100}
-	fromGraph := New(base, cfg).Propagate([]ids.UserID{nodeX}, 1)
-	fromOverlay := New(o, cfg).Propagate([]ids.UserID{nodeX}, 1)
+	fromGraph := oneShot(NewIncremental(base, cfg), []ids.UserID{nodeX})
+	fromOverlay := oneShot(NewIncremental(o, cfg), []ids.UserID{nodeX})
 
-	if fromGraph.Len() != fromOverlay.Len() {
-		t.Fatalf("result sizes differ: %d vs %d", fromGraph.Len(), fromOverlay.Len())
+	if len(fromGraph) != len(fromOverlay) {
+		t.Fatalf("result sizes differ: %d vs %d", len(fromGraph), len(fromOverlay))
 	}
-	scores := map[ids.UserID]float64{}
-	for i, u := range fromGraph.Users {
-		scores[u] = fromGraph.Scores[i]
-	}
-	for i, u := range fromOverlay.Users {
-		if math.Abs(scores[u]-fromOverlay.Scores[i]) > 1e-12 {
-			t.Fatalf("user %d: %v vs %v", u, scores[u], fromOverlay.Scores[i])
+	for u, p := range fromOverlay {
+		if math.Abs(fromGraph[u]-p) > 1e-12 {
+			t.Fatalf("user %d: %v vs %v", u, fromGraph[u], p)
 		}
 	}
 }
@@ -41,11 +37,7 @@ func TestPropagateSeesOverlayUpdates(t *testing.T) {
 	o.SetEdge(nodeW, nodeX, 0.9) // strengthen w's trust in x
 
 	cfg := Config{Threshold: StaticThreshold(0), MaxIterations: 100}
-	res := New(o, cfg).Propagate([]ids.UserID{nodeX}, 1)
-	got := map[ids.UserID]float64{}
-	for i, u := range res.Users {
-		got[u] = res.Scores[i]
-	}
+	got := oneShot(NewIncremental(o, cfg), []ids.UserID{nodeX})
 	// p(w) = (0.9·1 + 0.4·0)/2 = 0.45 now.
 	if math.Abs(got[nodeW]-0.45) > 1e-6 {
 		t.Errorf("p(w) = %v, want 0.45 after overlay update", got[nodeW])
@@ -53,11 +45,7 @@ func TestPropagateSeesOverlayUpdates(t *testing.T) {
 
 	// Same result from the frozen overlay.
 	frozen := o.Freeze()
-	res2 := New(frozen, cfg).Propagate([]ids.UserID{nodeX}, 1)
-	got2 := map[ids.UserID]float64{}
-	for i, u := range res2.Users {
-		got2[u] = res2.Scores[i]
-	}
+	got2 := oneShot(NewIncremental(frozen, cfg), []ids.UserID{nodeX})
 	if math.Abs(got2[nodeW]-got[nodeW]) > 1e-12 {
 		t.Errorf("frozen overlay diverges: %v vs %v", got2[nodeW], got[nodeW])
 	}
@@ -71,11 +59,7 @@ func TestPropagateReachesThroughAddedEdge(t *testing.T) {
 	o.SetEdge(nodeY, nodeX, 0.8)
 
 	cfg := Config{Threshold: StaticThreshold(0), MaxIterations: 100}
-	res := New(o, cfg).Propagate([]ids.UserID{nodeX}, 1)
-	got := map[ids.UserID]float64{}
-	for i, u := range res.Users {
-		got[u] = res.Scores[i]
-	}
+	got := oneShot(NewIncremental(o, cfg), []ids.UserID{nodeX})
 	if math.Abs(got[nodeY]-0.8) > 1e-6 {
 		t.Errorf("p(y) = %v, want 0.8", got[nodeY])
 	}

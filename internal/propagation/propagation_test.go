@@ -37,13 +37,10 @@ func paperGraph() *wgraph.Graph {
 
 func TestPaperWorkedExample(t *testing.T) {
 	g := paperGraph()
-	pr := New(g, Config{Threshold: StaticThreshold(0), MaxIterations: 100})
-	res := pr.Propagate([]ids.UserID{nodeX}, 1)
+	st := NewTweetState()
+	NewIncremental(g, Config{Threshold: StaticThreshold(0), MaxIterations: 100}).AddSeeds(st, []ids.UserID{nodeX}, 1)
 
-	got := map[ids.UserID]float64{}
-	for i, u := range res.Users {
-		got[u] = res.Scores[i]
-	}
+	got := st.P
 	if math.Abs(got[nodeW]-0.25) > 1e-9 {
 		t.Errorf("p(w) = %v, want 0.25 (Example 4.3)", got[nodeW])
 	}
@@ -53,14 +50,19 @@ func TestPaperWorkedExample(t *testing.T) {
 	if _, ok := got[nodeV]; ok && got[nodeV] != 0 {
 		t.Errorf("p(v) = %v, want 0 (y never shares)", got[nodeV])
 	}
-	if _, ok := got[nodeX]; ok {
-		t.Error("seed x must not appear in the result")
+	if got[nodeX] != 1 {
+		t.Errorf("p(x) = %v, want the seed pinned at 1", got[nodeX])
+	}
+	for _, u := range st.Changed {
+		if u == nodeX {
+			t.Error("seed x must not appear among the changed users")
+		}
 	}
 }
 
 func TestDensePropagateMatchesWorkedExample(t *testing.T) {
 	g := paperGraph()
-	p, iters := DensePropagate(g, []ids.UserID{nodeX}, 1e-12, 100)
+	p, iters := densePropagate(g, []ids.UserID{nodeX}, 1e-12, 100)
 	if math.Abs(p[nodeW]-0.25) > 1e-9 || math.Abs(p[nodeU]-0.0625) > 1e-9 {
 		t.Errorf("dense p(w)=%v p(u)=%v", p[nodeW], p[nodeU])
 	}
@@ -83,31 +85,38 @@ func randomSimGraph(n, avgDeg int, seed uint64) *wgraph.Graph {
 	return b.Build()
 }
 
-// TestFrontierMatchesDense: the production frontier algorithm and the
-// literal Algorithm 1 must agree at the fixpoint.
+// oneShot propagates seeds into a fresh TweetState on inc and returns
+// the non-seed scores — the one-shot shape Engine.PropagateScores serves.
+func oneShot(inc *Incremental, seeds []ids.UserID) map[ids.UserID]float64 {
+	st := NewTweetState()
+	inc.AddSeeds(st, seeds, len(seeds))
+	out := make(map[ids.UserID]float64, len(st.P))
+	for u, p := range st.P {
+		if _, isSeed := st.Seeds[u]; !isSeed {
+			out[u] = p
+		}
+	}
+	return out
+}
+
+// TestFrontierMatchesDense: one multi-seed AddSeeds call (the production
+// frontier algorithm) and the literal Algorithm 1 must agree at the
+// fixpoint.
 func TestFrontierMatchesDense(t *testing.T) {
 	f := func(seed uint64) bool {
 		g := randomSimGraph(40, 3, seed)
 		rng := xrand.New(seed ^ 1)
 		seeds := []ids.UserID{ids.UserID(rng.Intn(40)), ids.UserID(rng.Intn(40))}
 
-		pr := New(g, Config{Threshold: StaticThreshold(1e-12), MaxIterations: 500, MinScore: 0})
-		res := pr.Propagate(seeds, len(seeds))
-		dense, _ := DensePropagate(g, seeds, 1e-12, 500)
+		st := NewTweetState()
+		NewIncremental(g, Config{Threshold: StaticThreshold(1e-12), MaxIterations: 500}).AddSeeds(st, seeds, len(seeds))
+		dense, _ := densePropagate(g, seeds, 1e-12, 500)
 
-		sparse := make(map[ids.UserID]float64)
-		for i, u := range res.Users {
-			sparse[u] = res.Scores[i]
-		}
-		isSeed := map[ids.UserID]bool{}
-		for _, s := range seeds {
-			isSeed[s] = true
-		}
 		for u := 0; u < 40; u++ {
-			if isSeed[ids.UserID(u)] {
+			if _, isSeed := st.Seeds[ids.UserID(u)]; isSeed {
 				continue
 			}
-			if math.Abs(dense[u]-sparse[ids.UserID(u)]) > 1e-6 {
+			if math.Abs(dense[u]-st.P[ids.UserID(u)]) > 1e-6 {
 				return false
 			}
 		}
@@ -135,7 +144,7 @@ func TestIncrementalMatchesBatch(t *testing.T) {
 		for i, s := range seeds {
 			inc.AddSeeds(st, []ids.UserID{s}, i+1)
 		}
-		dense, _ := DensePropagate(g, seeds, 1e-12, 1000)
+		dense, _ := densePropagate(g, seeds, 1e-12, 1000)
 		for u := 0; u < 35; u++ {
 			if _, isSeed := st.Seeds[ids.UserID(u)]; isSeed {
 				continue
@@ -157,7 +166,7 @@ func TestFixpointMatchesLinearSolve(t *testing.T) {
 	g := randomSimGraph(50, 4, 7)
 	seeds := []ids.UserID{3, 17, 41}
 
-	a, b, err := LinearSystem(g, seeds)
+	a, b, err := linearSystem(g, seeds)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -168,7 +177,7 @@ func TestFixpointMatchesLinearSolve(t *testing.T) {
 	if err != nil {
 		t.Fatalf("Jacobi: %v", err)
 	}
-	dense, _ := DensePropagate(g, seeds, 1e-13, 2000)
+	dense, _ := densePropagate(g, seeds, 1e-13, 2000)
 	for u := range dense {
 		if math.Abs(dense[u]-x[u]) > 1e-6 {
 			t.Fatalf("node %d: fixpoint %v vs linear solve %v", u, dense[u], x[u])
@@ -182,7 +191,7 @@ func TestProbabilityBounds(t *testing.T) {
 		g := randomSimGraph(30, 4, seed)
 		rng := xrand.New(seed ^ 3)
 		seeds := []ids.UserID{ids.UserID(rng.Intn(30))}
-		dense, _ := DensePropagate(g, seeds, 1e-10, 500)
+		dense, _ := densePropagate(g, seeds, 1e-10, 500)
 		for u, p := range dense {
 			if p < 0 || p > 1 {
 				return false
@@ -201,8 +210,8 @@ func TestProbabilityBounds(t *testing.T) {
 // Monotonicity: growing the seed set can only raise probabilities.
 func TestSeedMonotonicity(t *testing.T) {
 	g := randomSimGraph(40, 4, 11)
-	p1, _ := DensePropagate(g, []ids.UserID{5}, 1e-12, 1000)
-	p2, _ := DensePropagate(g, []ids.UserID{5, 9, 23}, 1e-12, 1000)
+	p1, _ := densePropagate(g, []ids.UserID{5}, 1e-12, 1000)
+	p2, _ := densePropagate(g, []ids.UserID{5, 9, 23}, 1e-12, 1000)
 	for u := range p1 {
 		if p2[u] < p1[u]-1e-9 {
 			t.Fatalf("node %d: probability dropped %v -> %v when seeds grew", u, p1[u], p2[u])
@@ -245,35 +254,31 @@ func TestStaticThreshold(t *testing.T) {
 	}
 }
 
-// Higher thresholds must touch fewer users.
+// Higher thresholds must recompute fewer users.
 func TestThresholdReducesWork(t *testing.T) {
 	g := randomSimGraph(300, 6, 21)
-	loose := New(g, Config{Threshold: StaticThreshold(1e-9), MaxIterations: 500})
-	tight := New(g, Config{Threshold: StaticThreshold(0.05), MaxIterations: 500})
+	loose := NewIncremental(g, Config{Threshold: StaticThreshold(1e-9), MaxIterations: 500})
+	tight := NewIncremental(g, Config{Threshold: StaticThreshold(0.05), MaxIterations: 500})
 	seeds := []ids.UserID{1, 2, 3}
-	loose.Propagate(seeds, 3)
-	tight.Propagate(seeds, 3)
-	if tight.LastTouched() > loose.LastTouched() {
-		t.Errorf("tight threshold touched %d users, loose %d", tight.LastTouched(), loose.LastTouched())
+	loose.AddSeeds(NewTweetState(), seeds, 3)
+	tight.AddSeeds(NewTweetState(), seeds, 3)
+	if tight.LastRecomputed() > loose.LastRecomputed() {
+		t.Errorf("tight threshold recomputed %d users, loose %d", tight.LastRecomputed(), loose.LastRecomputed())
 	}
 }
 
-func TestResultExcludesBelowMinScore(t *testing.T) {
-	g := paperGraph()
-	pr := New(g, Config{Threshold: StaticThreshold(0), MaxIterations: 100, MinScore: 0.1})
-	res := pr.Propagate([]ids.UserID{nodeX}, 1)
-	for i, u := range res.Users {
-		if res.Scores[i] <= 0.1 {
-			t.Errorf("user %d score %v below MinScore leaked into result", u, res.Scores[i])
-		}
-	}
-}
-
+// The kernel guards its own entry point: seeds outside the graph are
+// dropped without a panic and leave the state empty. (Engine.PropagateScores
+// also drops them at its boundary; see TestPropagateScoresDropsInvalidSeeds.)
 func TestPropagateIgnoresOutOfRangeSeeds(t *testing.T) {
 	g := paperGraph()
-	pr := New(g, DefaultConfig())
-	res := pr.Propagate([]ids.UserID{99}, 1) // out of range: no panic, empty result
-	if res.Len() != 0 {
-		t.Errorf("expected empty result, got %d users", res.Len())
+	inc := NewIncremental(g, DefaultConfig())
+	st := NewTweetState()
+	inc.AddSeeds(st, []ids.UserID{99}, 1)
+	if len(st.P) != 0 || len(st.Seeds) != 0 || len(st.Changed) != 0 {
+		t.Errorf("expected empty state, got %d scored, %d seeds, %d changed", len(st.P), len(st.Seeds), len(st.Changed))
+	}
+	if inc.LastRecomputed() != 0 {
+		t.Errorf("out-of-range seed caused %d recomputations", inc.LastRecomputed())
 	}
 }

@@ -7,134 +7,13 @@ import (
 	"repro/internal/wgraph"
 )
 
-// This file freezes the pre-kernel propagation implementations. They are
-// correct but pay avoidable per-call costs — RefPropagator resets and
-// sweeps O(|V|) dense scratch on every Propagate, RefIncremental probes
-// the sparse TweetState map once per edge and allocates a changed-set map
-// per call. The epoch-stamped kernels in propagation.go and
-// incremental.go replace them on the production path; these stay as the
-// differential-test oracles and the benchmark baselines that
-// BENCH_propagation.json measures the kernels against, exactly as
-// pairwise similarity.Sim anchors SimBatch.
-
-// RefPropagator is the frozen dense-reset frontier propagator. Like
-// Propagator it owns reusable scratch and is not safe for concurrent use.
-type RefPropagator struct {
-	cfg   Config
-	g     wgraph.View
-	p     []float64
-	seed  []bool
-	inQ   []bool
-	queue []ids.UserID
-}
-
-// NewRefPropagator returns the reference propagator over g.
-func NewRefPropagator(g wgraph.View, cfg Config) *RefPropagator {
-	if cfg.Threshold == nil {
-		cfg.Threshold = StaticThreshold(1e-6)
-	}
-	if cfg.MaxIterations <= 0 {
-		cfg.MaxIterations = 200
-	}
-	n := g.NumNodes()
-	return &RefPropagator{
-		cfg:  cfg,
-		g:    g,
-		p:    make([]float64, n),
-		seed: make([]bool, n),
-		inQ:  make([]bool, n),
-	}
-}
-
-func (pr *RefPropagator) ensureScratch(n int) {
-	if n <= len(pr.p) {
-		return
-	}
-	pr.p = append(pr.p, make([]float64, n-len(pr.p))...)
-	pr.seed = append(pr.seed, make([]bool, n-len(pr.seed))...)
-	pr.inQ = append(pr.inQ, make([]bool, n-len(pr.inQ))...)
-}
-
-// Propagate is the pre-kernel implementation: O(n) reset, frontier loop,
-// O(n) result sweep.
-func (pr *RefPropagator) Propagate(seeds []ids.UserID, popularity int) Result {
-	cutoff := pr.cfg.Threshold.Cutoff(popularity)
-	n := pr.g.NumNodes()
-	pr.ensureScratch(n)
-
-	for i := 0; i < n; i++ {
-		pr.p[i] = 0
-		pr.seed[i] = false
-		pr.inQ[i] = false
-	}
-	pr.queue = pr.queue[:0]
-
-	for _, s := range seeds {
-		if int(s) >= n {
-			continue
-		}
-		pr.p[s] = 1
-		pr.seed[s] = true
-	}
-	for _, s := range seeds {
-		if int(s) >= n {
-			continue
-		}
-		pr.enqueueInfluenced(s)
-	}
-
-	iters := 0
-	for len(pr.queue) > 0 && iters < pr.cfg.MaxIterations {
-		iters++
-		round := pr.queue
-		pr.queue = nil
-		for _, u := range round {
-			pr.inQ[u] = false
-		}
-		for _, u := range round {
-			if pr.seed[u] {
-				continue
-			}
-			to, w := pr.g.Out(u)
-			var nv float64
-			if len(to) > 0 {
-				var sum float64
-				for i, v := range to {
-					if pv := pr.p[v]; pv != 0 {
-						sum += pv * float64(w[i])
-					}
-				}
-				nv = sum / float64(len(to))
-			}
-			delta := math.Abs(nv - pr.p[u])
-			pr.p[u] = nv
-			if delta >= cutoff {
-				pr.enqueueInfluenced(u)
-			}
-		}
-	}
-
-	var res Result
-	for u := 0; u < n; u++ {
-		if pr.seed[u] || pr.p[u] <= pr.cfg.MinScore {
-			continue
-		}
-		res.Users = append(res.Users, ids.UserID(u))
-		res.Scores = append(res.Scores, pr.p[u])
-	}
-	return res
-}
-
-func (pr *RefPropagator) enqueueInfluenced(v ids.UserID) {
-	from, _ := pr.g.In(v)
-	for _, u := range from {
-		if pr.seed[u] || pr.inQ[u] {
-			continue
-		}
-		pr.inQ[u] = true
-		pr.queue = append(pr.queue, u)
-	}
-}
+// This file freezes the pre-kernel incremental propagator. It is correct
+// but pays avoidable per-call costs: RefIncremental probes the sparse
+// TweetState map once per edge and allocates a changed-set map per call.
+// The epoch-stamped kernel in incremental.go replaces it on the
+// production path; it stays as the differential-test oracle and the
+// benchmark baseline that BENCH_propagation.json measures the kernel
+// against, exactly as pairwise similarity.Sim anchors SimBatch.
 
 // RefIncremental is the frozen map-probing incremental propagator: the
 // innermost recompute loop looks every influencer up in the TweetState

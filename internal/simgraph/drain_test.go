@@ -4,62 +4,46 @@ import (
 	"sync"
 	"testing"
 
-	"repro/internal/dataset"
 	"repro/internal/ids"
+	"repro/internal/metrics"
 )
 
-// Tests for the parallel postponed-batch drain: the worker pool must not
-// change what gets recommended, must actually count its work, and must be
-// race-free under concurrent serving traffic (run with -race in CI).
+// Tests for the serial postponed-batch drain: it must count its work in
+// the rec/* instruments and stay race-free while readers drain under
+// concurrent serving traffic (run with -race in CI).
 
-func drainConfig(workers int) RecommenderConfig {
+func drainConfig(reg *metrics.Registry) RecommenderConfig {
 	cfg := DefaultRecommenderConfig()
 	cfg.Postpone = true
-	cfg.DrainWorkers = workers
+	cfg.Metrics = reg
 	return cfg
 }
 
-// TestParallelDrainMatchesSerial: per-tweet propagation is deterministic
-// and pool bumps are monotone max per (user, tweet), so draining with 8
-// workers must land on exactly the scores a serial drain produces.
-func TestParallelDrainMatchesSerial(t *testing.T) {
-	const numTweets, perTweet = 1200, 10
-	serial, ds := soakReplay(t, drainConfig(1), numTweets, perTweet)
-	parallel, _ := soakReplay(t, drainConfig(8), numTweets, perTweet)
-	now := ds.Actions[len(ds.Actions)-1].Time
+// drainCounts reads the streaming-propagation instruments of reg.
+type drainCounts struct {
+	Propagations, Recomputations, Rounds, DrainedBatches, Drains uint64
+	DrainWallNs                                                  int64
+}
 
-	checked := 0
-	for u := ids.UserID(0); u < 16; u++ {
-		a := serial.Recommend(u, 50, now)
-		b := parallel.Recommend(u, 50, now)
-		if len(a) != len(b) {
-			t.Fatalf("user %d: serial returned %d recs, parallel %d", u, len(a), len(b))
-		}
-		// Compare as score maps: candidates with equal scores may tie-break
-		// into different ranks.
-		want := make(map[ids.TweetID]float64, len(a))
-		for _, r := range a {
-			want[r.Tweet] = r.Score
-		}
-		for _, r := range b {
-			if w, ok := want[r.Tweet]; !ok || w != r.Score {
-				t.Fatalf("user %d tweet %d: parallel score %v, serial %v (present=%v)", u, r.Tweet, r.Score, w, ok)
-			}
-		}
-		checked += len(a)
-	}
-	if checked == 0 {
-		t.Fatal("drain comparison checked no recommendations")
+func readDrainCounts(reg *metrics.Registry) drainCounts {
+	return drainCounts{
+		Propagations:   reg.Counter("rec/propagations").Value(),
+		Recomputations: reg.Counter("rec/recomputations").Value(),
+		Rounds:         reg.Counter("rec/rounds").Value(),
+		DrainedBatches: reg.Counter("rec/drain/batches").Value(),
+		Drains:         reg.Counter("rec/drains").Value(),
+		DrainWallNs:    reg.Histogram("rec/drain/wall_ns").Sum(),
 	}
 }
 
-// TestDrainStatsCount: the atomic counters must reflect the drains that
+// TestDrainStatsCount: the rec/* instruments must reflect the drains that
 // actually ran.
 func TestDrainStatsCount(t *testing.T) {
-	r, ds := soakReplay(t, drainConfig(4), 800, 10)
+	reg := metrics.NewRegistry()
+	r, ds := soakReplay(t, drainConfig(reg), 800, 10)
 	now := ds.Actions[len(ds.Actions)-1].Time
 	r.Recommend(0, 10, now+300*ids.Hour) // flush whatever frames remain in horizon
-	st := r.Stats()
+	st := readDrainCounts(reg)
 	if st.Propagations == 0 || st.DrainedBatches == 0 || st.Drains == 0 {
 		t.Fatalf("postponed replay recorded no work: %+v", st)
 	}
@@ -72,29 +56,32 @@ func TestDrainStatsCount(t *testing.T) {
 	if st.Recomputations == 0 || st.Rounds == 0 {
 		t.Errorf("no recomputations/rounds counted: %+v", st)
 	}
-	if st.DrainTime <= 0 {
+	if st.DrainWallNs <= 0 {
 		t.Error("drain wall time not measured")
 	}
 
 	// Immediate mode counts propagations but never drains.
-	ri, dsi := soakReplay(t, DefaultRecommenderConfig(), 300, 10)
-	sti := ri.Stats()
+	regi := metrics.NewRegistry()
+	cfgi := DefaultRecommenderConfig()
+	cfgi.Metrics = regi
+	soakReplay(t, cfgi, 300, 10)
+	sti := readDrainCounts(regi)
 	if sti.Propagations == 0 {
 		t.Fatal("immediate mode counted no propagations")
 	}
 	if sti.Drains != 0 || sti.DrainedBatches != 0 {
 		t.Errorf("immediate mode recorded drains: %+v", sti)
 	}
-	_ = dsi
 }
 
-// TestConcurrentServingWhileFramesExpire is the drain race test: writers
-// stream retweets (expiring frames as the clock advances) while readers
-// recommend — every drain they trigger fans propagation out across the
-// worker pool. Run under -race.
+// TestConcurrentServingWhileFramesExpire is the drain race test: one
+// writer streams retweets (expiring frames as the clock advances) while
+// readers recommend — every drain a reader triggers propagates under the
+// recommender lock the writer also takes. Run under -race.
 func TestConcurrentServingWhileFramesExpire(t *testing.T) {
 	ds, ctx := soakWorld(t, 1500, 10)
-	cfg := drainConfig(8)
+	reg := metrics.NewRegistry()
+	cfg := drainConfig(reg)
 	cfg.PostponeMin = 2 * ids.Minute // expire frames constantly
 	cfg.PostponeMax = 30 * ids.Minute
 	r := NewRecommender(cfg)
@@ -131,39 +118,18 @@ func TestConcurrentServingWhileFramesExpire(t *testing.T) {
 			}
 		}
 	}
-	if st := r.Stats(); st.Propagations == 0 {
+	if st := readDrainCounts(reg); st.Propagations == 0 {
 		t.Fatalf("concurrent replay propagated nothing: %+v", st)
 	}
 }
 
-// TestObserveImmediateStillWorksWithPool: the immediate path now checks a
-// propagator out of the sync.Pool per observation; scores must be
-// unaffected (guards the pooled-scratch plumbing).
-func TestObserveImmediateStillWorksWithPool(t *testing.T) {
-	ds, ctx := soakWorld(t, 300, 10)
-	r := NewRecommender(DefaultRecommenderConfig())
-	if err := r.Init(ctx); err != nil {
-		t.Fatal(err)
-	}
-	var last dataset.Action
-	for _, a := range ds.Actions[len(ctx.Train):] {
-		r.Observe(a)
-		last = a
-	}
-	produced := 0
-	for _, u := range ctx.Tracked {
-		produced += len(r.Recommend(u, 10, last.Time))
-	}
-	if produced == 0 {
-		t.Fatal("immediate mode produced no recommendations")
-	}
-}
-
-func benchDrain(b *testing.B, workers int) {
+// BenchmarkPostponedReplay times a postponed-mode replay whose short
+// time frames expire constantly, so most of the work is the serial drain.
+func BenchmarkPostponedReplay(b *testing.B) {
 	const numTweets, perTweet = 2500, 12
 	ds, ctx := soakWorld(b, numTweets, perTweet)
 	test := ds.Actions[len(ctx.Train):]
-	cfg := drainConfig(workers)
+	cfg := drainConfig(nil)
 	cfg.PostponeMin = 2 * ids.Minute
 	cfg.PostponeMax = 30 * ids.Minute
 	b.ResetTimer()
@@ -179,7 +145,3 @@ func benchDrain(b *testing.B, workers int) {
 		}
 	}
 }
-
-func BenchmarkPostponedReplayDrain1(b *testing.B) { benchDrain(b, 1) }
-func BenchmarkPostponedReplayDrain4(b *testing.B) { benchDrain(b, 4) }
-func BenchmarkPostponedReplayDrain8(b *testing.B) { benchDrain(b, 8) }

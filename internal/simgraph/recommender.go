@@ -1,9 +1,7 @@
 package simgraph
 
 import (
-	"runtime"
 	"sync"
-	"sync/atomic"
 	"time"
 
 	"repro/internal/dataset"
@@ -26,28 +24,27 @@ type RecommenderConfig struct {
 	Postpone bool
 	// PostponeMin/PostponeMax bound the adaptive time frame δ.
 	PostponeMin, PostponeMax ids.Timestamp
-	// DrainWorkers bounds the worker pool that propagates due postponed
-	// batches in parallel (distinct tweets have independent state, so a
-	// burst of expiring frames fans out across cores). <= 0 picks
-	// min(GOMAXPROCS, 8); 1 forces a serial drain.
-	DrainWorkers int
 	// MaxAge evicts per-tweet propagation state once the tweet exceeds
 	// this age — §3.1.2: scores need not be computed after 72 h.
 	MaxAge ids.Timestamp
 	// Metrics is the instrument registry the recommender reports into
 	// (see the rec/* names resolved in attach). Nil gives the recommender
-	// a private registry, so Stats() works for standalone use; the Engine
-	// passes its own registry, which also makes the counters survive the
-	// recommender swap a RefreshGraphStats performs.
+	// a private registry; the Engine passes its own registry, which also
+	// makes the counters survive the recommender swap a RefreshGraphStats
+	// performs.
 	Metrics *metrics.Registry
 	// OnChanged, when non-nil, is called after every state change that can
 	// alter some user's recommendation list, with the users affected: the
 	// sharer of each observed retweet (their pool loses the shared tweet)
 	// and every user whose propagated score moved (TweetState.Changed).
-	// The callback runs outside all recommender locks but possibly on
-	// drain-worker goroutines and concurrently with itself; it must be
-	// fast and safe for concurrent use. Serving layers hang cache
-	// invalidation here.
+	// The sharer call runs outside the recommender lock; the propagation
+	// call runs under it, on whichever goroutine propagated (an Observe
+	// caller, or a Recommend caller draining postponed batches). The
+	// callback must be fast and safe for concurrent use, must not call
+	// back into the recommender, and must not retain or modify the slice:
+	// it is the tweet state's Changed list, which the tweet's next
+	// propagation overwrites.
+	// Serving layers hang cache invalidation here.
 	OnChanged func(users []ids.UserID)
 }
 
@@ -66,62 +63,33 @@ func DefaultRecommenderConfig() RecommenderConfig {
 	}
 }
 
-// PropagationStats aggregates the streaming-propagation counters, the
-// online-path counterpart of Engine.RefreshGraphStats. It is a
-// compatibility view over the rec/* instruments in the recommender's
-// metrics registry — counters start at Init with a private registry, or
-// accumulate across recommender swaps when RecommenderConfig.Metrics is
-// shared (as the Engine does).
-type PropagationStats struct {
-	// Propagations counts AddSeeds calls (drained batches plus immediate
-	// shares).
-	Propagations uint64
-	// Recomputations counts user-score recomputations across all
-	// propagations — the true unit of online work.
-	Recomputations uint64
-	// Rounds accumulates frontier depth (BFS levels) across propagations.
-	Rounds uint64
-	// DrainedBatches counts postponed batches flushed by the scheduler
-	// and propagated.
-	DrainedBatches uint64
-	// Drains counts drain invocations that flushed at least one batch.
-	Drains uint64
-	// DrainTime is the cumulative wall time of those drains (parallel
-	// drains count wall time, not summed worker time).
-	DrainTime time.Duration
-}
-
 // Recommender is the paper's system: similarity graph + propagation.
 // It implements recsys.Recommender.
 //
-// Concurrency: after Init, the recommender is safe for concurrent use.
-// Recommend calls from many goroutines proceed in parallel (the candidate
-// pool is lock-split per user). The streaming state is guarded in layers:
-// r.mu covers only the scheduler and the per-tweet bookkeeping maps
-// (scheduler pops, state lookup/creation, counts, eviction); the
-// propagation itself runs outside r.mu on per-worker Incremental scratch,
-// serialized per tweet by the TweetState lock. Due batches for distinct
-// tweets therefore propagate in parallel across a bounded worker pool
-// instead of serializing behind one mutex. Init/InitWithGraph must still
-// happen-before any concurrent calls.
+// Concurrency: after Init, the recommender is safe for concurrent use,
+// with one writer at a time. Every write to the streaming state — the
+// scheduler, the per-tweet bookkeeping and the propagation itself, on the
+// one Incremental the recommender owns — happens under r.mu, so Observe
+// calls serialize there. Recommend calls from many goroutines proceed in
+// parallel over the lock-split candidate pool; with postponement on, each
+// first drains the due batches serially under r.mu. Init/InitWithGraph
+// must happen-before any concurrent calls.
 type Recommender struct {
 	cfg  RecommenderConfig
 	ds   *dataset.Dataset
 	sim  *wgraph.Graph
 	pool *recsys.Pool
 
-	// mu guards the scheduler and per-tweet bookkeeping: sched, states
-	// (the map, not the TweetState values), counts, and the eviction
-	// queue. It is NOT held while propagating.
+	// mu guards all streaming state: sched, dueBuf, inc, states (the map
+	// and the TweetState values), counts, and the eviction queue. It is
+	// held across every propagation.
 	mu    sync.Mutex
 	sched *propagation.Scheduler
-	// dueBuf is the reusable scheduler-pop buffer; guarded by mu.
+	// dueBuf is the reusable scheduler-pop buffer.
 	dueBuf []propagation.Batch
-
-	// incs pools per-worker incremental propagators (epoch-stamped dense
-	// scratch is expensive to allocate per drain).
-	incs         *sync.Pool
-	drainWorkers int
+	// inc is the recommender's one incremental propagator; its
+	// epoch-stamped dense scratch is reused across every tweet.
+	inc *propagation.Incremental
 
 	// Per-tweet propagation state with lifetime eviction.
 	states map[ids.TweetID]*propagation.TweetState
@@ -131,8 +99,7 @@ type Recommender struct {
 	evictHead  int
 
 	// Instruments, resolved from the config registry in attach. All are
-	// lock-free; the propagation-path ones are bumped outside r.mu, the
-	// gauge updates happen under it (where the guarded value changes).
+	// lock-free; they are updated under r.mu, where the counted work runs.
 	mPropagations *metrics.Counter   // AddSeeds calls (immediate + drained)
 	mRecomputes   *metrics.Counter   // user-score recomputations
 	mRounds       *metrics.Counter   // cumulative frontier depth
@@ -195,14 +162,7 @@ func (r *Recommender) attach(ctx *recsys.Context) {
 	r.mStates.Set(0)
 	r.mPending.Set(0)
 
-	r.incs = &sync.Pool{}
-	r.drainWorkers = r.cfg.DrainWorkers
-	if r.drainWorkers <= 0 {
-		r.drainWorkers = runtime.GOMAXPROCS(0)
-		if r.drainWorkers > 8 {
-			r.drainWorkers = 8
-		}
-	}
+	r.inc = propagation.NewIncremental(r.sim, r.cfg.Prop)
 	r.pool = recsys.NewPoolFor(ctx, func(t ids.TweetID) ids.Timestamp {
 		return r.ds.Tweets[t].Time
 	})
@@ -214,16 +174,6 @@ func (r *Recommender) attach(ctx *recsys.Context) {
 		r.sched = propagation.NewScheduler(r.cfg.PostponeMin, r.cfg.PostponeMax, 12)
 	}
 }
-
-// getInc checks a per-worker incremental propagator out of the pool.
-func (r *Recommender) getInc() *propagation.Incremental {
-	if inc, ok := r.incs.Get().(*propagation.Incremental); ok {
-		return inc
-	}
-	return propagation.NewIncremental(r.sim, r.cfg.Prop)
-}
-
-func (r *Recommender) putInc(inc *propagation.Incremental) { r.incs.Put(inc) }
 
 // Observe feeds one retweet from the test stream. Propagation runs
 // incrementally from the new sharer, immediately or on the postponed
@@ -247,6 +197,7 @@ func (r *Recommender) Observe(a dataset.Action) {
 	}
 
 	r.mu.Lock()
+	defer r.mu.Unlock()
 	if _, seen := r.counts[a.Tweet]; !seen {
 		// First observation enters the tweet into the eviction queue —
 		// keyed on counts, not states, so postponed batches that never
@@ -257,20 +208,13 @@ func (r *Recommender) Observe(a dataset.Action) {
 	r.evictExpired(a.Time)
 
 	if r.sched == nil {
-		task, ok := r.resolveLocked(a.Tweet, []ids.UserID{a.User}, a.Time)
-		r.mu.Unlock()
-		if ok {
-			inc := r.getInc()
-			r.propagate(inc, task)
-			r.putInc(inc)
+		if task, ok := r.resolveLocked(a.Tweet, []ids.UserID{a.User}, a.Time); ok {
+			r.propagate(task)
 		}
 		return
 	}
 	r.sched.Observe(a.Tweet, a.User, a.Time, r.counts[a.Tweet])
-	tasks := r.popDueLocked(a.Time)
-	r.mPending.Set(int64(r.sched.Pending()))
-	r.mu.Unlock()
-	r.runDrain(tasks)
+	r.drainLocked(a.Time)
 }
 
 // drainTask is one resolved propagation unit: a tweet's state plus the
@@ -284,7 +228,7 @@ type drainTask struct {
 
 // resolveLocked turns a flushed batch (or an immediate share) into a
 // propagation task, creating per-tweet state on first touch. Callers
-// hold r.mu; the returned task is propagated after releasing it.
+// hold r.mu.
 func (r *Recommender) resolveLocked(t ids.TweetID, users []ids.UserID, now ids.Timestamp) (drainTask, bool) {
 	st := r.states[t]
 	if st == nil {
@@ -314,92 +258,46 @@ func (r *Recommender) resolveLocked(t ids.TweetID, users []ids.UserID, now ids.T
 	return drainTask{st: st, tweet: t, users: users, popularity: r.counts[t]}, true
 }
 
-// popDueLocked pops every due batch and resolves it into tasks. Callers
-// hold r.mu.
-func (r *Recommender) popDueLocked(now ids.Timestamp) []drainTask {
+// drainLocked pops every due postponed batch and propagates it, one
+// tweet after another. Callers hold r.mu.
+func (r *Recommender) drainLocked(now ids.Timestamp) {
 	r.dueBuf = r.sched.DueAppend(now, r.dueBuf[:0])
-	if len(r.dueBuf) == 0 {
-		return nil
-	}
-	tasks := make([]drainTask, 0, len(r.dueBuf))
-	for _, b := range r.dueBuf {
-		if task, ok := r.resolveLocked(b.Tweet, b.Users, now); ok {
-			tasks = append(tasks, task)
+	if len(r.dueBuf) > 0 {
+		start := time.Now()
+		n := 0
+		for _, b := range r.dueBuf {
+			if task, ok := r.resolveLocked(b.Tweet, b.Users, now); ok {
+				r.propagate(task)
+				n++
+			}
+		}
+		if n > 0 {
+			r.mBatchSize.Observe(int64(n))
+			r.mDrains.Inc()
+			r.mBatches.Add(uint64(n))
+			r.mDrainWall.ObserveDuration(time.Since(start))
 		}
 	}
-	return tasks
+	r.mPending.Set(int64(r.sched.Pending()))
 }
 
-// runDrain propagates the resolved tasks, fanning out across the bounded
-// worker pool when more than one tweet is due. Per-tweet state is
-// independent (each task locks its own TweetState) and pool bumps are
-// lock-split per user, so workers never share mutable state.
-func (r *Recommender) runDrain(tasks []drainTask) {
-	if len(tasks) == 0 {
-		return
-	}
-	start := time.Now()
-	workers := r.drainWorkers
-	if workers > len(tasks) {
-		workers = len(tasks)
-	}
-	r.mBatchSize.Observe(int64(len(tasks)))
-	if workers <= 1 {
-		inc := r.getInc()
-		for _, task := range tasks {
-			r.propagate(inc, task)
-		}
-		r.putInc(inc)
-	} else {
-		var next atomic.Int64
-		var wg sync.WaitGroup
-		wg.Add(workers)
-		for w := 0; w < workers; w++ {
-			go func() {
-				defer wg.Done()
-				inc := r.getInc()
-				defer r.putInc(inc)
-				for {
-					i := int(next.Add(1)) - 1
-					if i >= len(tasks) {
-						return
-					}
-					r.propagate(inc, tasks[i])
-				}
-			}()
-		}
-		wg.Wait()
-	}
-	r.mDrains.Inc()
-	r.mBatches.Add(uint64(len(tasks)))
-	r.mDrainWall.ObserveDuration(time.Since(start))
-}
-
-// propagate runs one task under its tweet's state lock and refreshes
-// pooled scores for the users whose probability changed. Lock order is
-// TweetState -> pool slot; r.mu is never held here. The OnChanged
-// callback fires after the state lock is released — the affected users
-// are copied out first, because st.Changed is scratch the next AddSeeds
-// overwrites.
-func (r *Recommender) propagate(inc *propagation.Incremental, task drainTask) {
+// propagate runs one task on the recommender's Incremental and refreshes
+// pooled scores for the users whose probability changed. Callers hold
+// r.mu; lock order is r.mu -> pool slot. OnChanged receives st.Changed
+// itself, which stays valid until the next AddSeeds.
+func (r *Recommender) propagate(task drainTask) {
 	st := task.st
-	var changed []ids.UserID
-	st.Lock()
-	inc.AddSeeds(st, task.users, task.popularity)
+	r.inc.AddSeeds(st, task.users, task.popularity)
 	for _, u := range st.Changed {
 		r.pool.Bump(u, task.tweet, st.P[u])
 	}
 	if r.cfg.OnChanged != nil && len(st.Changed) > 0 {
-		changed = append(changed, st.Changed...)
-	}
-	st.Unlock()
-	if len(changed) > 0 {
-		r.cfg.OnChanged(changed)
+		r.cfg.OnChanged(st.Changed)
 	}
 	r.mPropagations.Inc()
-	r.mRecomputes.Add(uint64(inc.LastRecomputed()))
-	r.mRounds.Add(uint64(inc.LastRounds()))
-	r.mFrontier.Observe(int64(inc.LastMaxFrontier()))
+	r.mRecomputes.Add(uint64(r.inc.LastRecomputed()))
+	r.mRounds.Add(uint64(r.inc.LastRounds()))
+	r.mFrontier.Observe(int64(r.inc.LastMaxFrontier()))
 }
 
 // evictExpired drops propagation state of tweets past the freshness
@@ -419,11 +317,9 @@ func (r *Recommender) evictExpired(now ids.Timestamp) {
 			// entries and already-shared marks go with its state.
 			// Every seed is in P (AddSeeds scores it 1), so P names
 			// every user the tweet touched.
-			st.Lock()
 			for u := range st.P {
 				r.pool.Forget(u, t)
 			}
-			st.Unlock()
 		}
 		delete(r.states, t)
 		delete(r.counts, t)
@@ -449,30 +345,14 @@ func (r *Recommender) evictExpired(now ids.Timestamp) {
 
 // Recommend implements recsys.Recommender. Safe for concurrent callers:
 // with postponement off it touches only the lock-split pool; with
-// postponement on, r.mu is taken only for the scheduler pop and the
-// flushed batches propagate on the worker pool before ranking.
+// postponement on, it first drains the due batches under r.mu.
 func (r *Recommender) Recommend(u ids.UserID, k int, now ids.Timestamp) []recsys.ScoredTweet {
 	if r.sched != nil {
 		r.mu.Lock()
-		tasks := r.popDueLocked(now)
-		r.mPending.Set(int64(r.sched.Pending()))
+		r.drainLocked(now)
 		r.mu.Unlock()
-		r.runDrain(tasks)
 	}
 	return r.pool.TopK(u, k, now)
-}
-
-// Stats returns the cumulative streaming-propagation counters (see
-// PropagationStats for the accumulation scope). Safe for concurrent use.
-func (r *Recommender) Stats() PropagationStats {
-	return PropagationStats{
-		Propagations:   r.mPropagations.Value(),
-		Recomputations: r.mRecomputes.Value(),
-		Rounds:         r.mRounds.Value(),
-		DrainedBatches: r.mBatches.Value(),
-		Drains:         r.mDrains.Value(),
-		DrainTime:      time.Duration(r.mDrainWall.Sum()),
-	}
 }
 
 var _ recsys.Recommender = (*Recommender)(nil)

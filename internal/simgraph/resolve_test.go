@@ -59,9 +59,9 @@ func TestResolveAuthorDedup(t *testing.T) {
 		t.Fatalf("author appears %d times in the resolved seed batch %v", seen, task.users)
 	}
 
-	inc := r.getInc()
-	r.propagate(inc, task)
-	r.putInc(inc)
+	r.mu.Lock()
+	r.propagate(task)
+	r.mu.Unlock()
 
 	ref := propagation.NewRefIncremental(r.Graph(), r.cfg.Prop)
 	refState := propagation.NewTweetState()

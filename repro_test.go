@@ -2,7 +2,11 @@ package repro
 
 import (
 	"bytes"
+	"math"
 	"testing"
+
+	"repro/internal/propagation"
+	"repro/internal/wgraph"
 )
 
 func testDataset(t *testing.T) *Dataset {
@@ -139,34 +143,135 @@ func TestEngineValidation(t *testing.T) {
 	}
 }
 
+// influentialSeeds returns up to n users with influence in eng's
+// similarity graph (a non-empty In list).
+func influentialSeeds(eng *Engine, n int) []UserID {
+	g := eng.rec.Graph()
+	var seeds []UserID
+	for u := 0; u < g.NumNodes() && len(seeds) < n; u++ {
+		if g.InDegree(UserID(u)) > 0 {
+			seeds = append(seeds, UserID(u))
+		}
+	}
+	return seeds
+}
+
+// denseFixpoint is the literal Algorithm 1: full Jacobi sweeps over every
+// non-seed user until no score moves by more than tol.
+func denseFixpoint(g wgraph.View, seeds []UserID, tol float64, maxIter int) []float64 {
+	n := g.NumNodes()
+	p, next := make([]float64, n), make([]float64, n)
+	isSeed := make([]bool, n)
+	for _, s := range seeds {
+		p[s], next[s], isSeed[s] = 1, 1, true
+	}
+	for iter := 0; iter < maxIter; iter++ {
+		changed := false
+		for u := 0; u < n; u++ {
+			if isSeed[u] {
+				continue
+			}
+			to, w := g.Out(UserID(u))
+			var nv float64
+			if len(to) > 0 {
+				var sum float64
+				for i, v := range to {
+					sum += p[v] * float64(w[i])
+				}
+				nv = sum / float64(len(to))
+			}
+			next[u] = nv
+			changed = changed || math.Abs(nv-p[u]) > tol
+		}
+		p, next = next, p
+		if !changed {
+			break
+		}
+	}
+	return p
+}
+
+// TestEnginePropagateScores pins /propagate to the kernel Observe runs:
+// PropagateScores must equal, bit for bit, AddSeeds into a fresh tweet
+// state over the engine's graph at DefaultConfig with the seeds and every
+// score at or below MinScore removed, and sit within 1e-6 of the dense
+// Algorithm 1 fixpoint at tolerance 1e-12.
 func TestEnginePropagateScores(t *testing.T) {
 	ds := testDataset(t)
 	eng, err := NewEngine(ds, DefaultEngineOptions())
 	if err != nil {
 		t.Fatal(err)
 	}
-	// Pick a user with influence in the similarity graph.
-	var seed UserID
-	found := false
-	for u := 0; u < ds.NumUsers(); u++ {
-		if eng.rec.Graph().InDegree(UserID(u)) > 0 {
-			seed, found = UserID(u), true
-			break
-		}
-	}
-	if !found {
+	g := eng.rec.Graph()
+	seeds := influentialSeeds(eng, 3)
+	if len(seeds) == 0 {
 		t.Skip("no influential user in tiny graph")
 	}
-	scores := eng.PropagateScores([]UserID{seed})
+	scores := eng.PropagateScores(seeds)
 	if len(scores) == 0 {
 		t.Fatal("propagation reached nobody")
 	}
-	for u, p := range scores {
-		if p <= 0 || p > 1 {
-			t.Fatalf("score %v for user %d out of (0,1]", p, u)
+
+	cfg := propagation.DefaultConfig()
+	st := propagation.NewTweetState()
+	propagation.NewIncremental(g, cfg).AddSeeds(st, seeds, len(seeds))
+	want := 0
+	for u, p := range st.P {
+		if _, isSeed := st.Seeds[u]; isSeed || p <= cfg.MinScore {
+			continue
 		}
-		if u == seed {
-			t.Fatal("seed included in scores")
+		want++
+		if got, ok := scores[u]; !ok || got != p {
+			t.Fatalf("user %d: PropagateScores %v (present=%v), AddSeeds %v", u, got, ok, p)
+		}
+	}
+	if len(scores) != want {
+		t.Fatalf("PropagateScores returned %d users, AddSeeds reached %d", len(scores), want)
+	}
+
+	for u, p := range denseFixpoint(g, seeds, 1e-12, 2000) {
+		if _, isSeed := st.Seeds[UserID(u)]; isSeed {
+			continue
+		}
+		if math.Abs(p-scores[UserID(u)]) > 1e-6 {
+			t.Fatalf("user %d: PropagateScores %v, dense Algorithm 1 %v", u, scores[UserID(u)], p)
+		}
+	}
+}
+
+// TestResultExcludesBelowMinScore: a /propagate answer holds neither the
+// seeds nor any score at or below DefaultConfig().MinScore, although the
+// kernel's state keeps both.
+func TestResultExcludesBelowMinScore(t *testing.T) {
+	ds := testDataset(t)
+	eng, err := NewEngine(ds, DefaultEngineOptions())
+	if err != nil {
+		t.Fatal(err)
+	}
+	seeds := influentialSeeds(eng, 3)
+	if len(seeds) == 0 {
+		t.Skip("no influential user in tiny graph")
+	}
+	minScore := propagation.DefaultConfig().MinScore
+	st := propagation.NewTweetState()
+	propagation.NewIncremental(eng.rec.Graph(), propagation.DefaultConfig()).AddSeeds(st, seeds, len(seeds))
+	low := 0
+	for _, p := range st.P {
+		if p <= minScore {
+			low++
+		}
+	}
+	if low == 0 {
+		t.Fatal("kernel state holds no score at or below MinScore; the filter goes unexercised")
+	}
+	for u, p := range eng.PropagateScores(seeds) {
+		if p <= minScore || p > 1 {
+			t.Fatalf("user %d score %v outside (MinScore, 1]", u, p)
+		}
+		for _, s := range seeds {
+			if u == s {
+				t.Fatalf("seed %d included in scores", s)
+			}
 		}
 	}
 }
