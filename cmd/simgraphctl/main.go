@@ -221,8 +221,7 @@ func runPropagation(ds *dataset.Dataset, t ids.TweetID, tau float64) {
 			seeds = append(seeds, a.User)
 		}
 	}
-	pcfg := propagation.DefaultConfig()
-	inc := propagation.NewIncremental(g, pcfg)
+	inc := propagation.NewIncremental(g, propagation.DefaultConfig())
 	st := propagation.NewTweetState()
 	inc.AddSeeds(st, seeds, len(seeds))
 
@@ -232,7 +231,7 @@ func runPropagation(ds *dataset.Dataset, t ids.TweetID, tau float64) {
 	}
 	var top []scored
 	for u, p := range st.P {
-		if _, isSeed := st.Seeds[u]; !isSeed && p > pcfg.MinScore {
+		if _, isSeed := st.Seeds[u]; !isSeed && p > propagation.MinScore {
 			top = append(top, scored{u, p})
 		}
 	}

@@ -89,8 +89,8 @@ type EngineOptions struct {
 	// PruneMinOverlap is the lossy prune threshold: candidates whose
 	// cluster overlap with the source falls below it are dropped before
 	// scoring. 0 keeps pruning exact. Quality cost at a given setting is
-	// measured by internal/eval (PruneQualityDelta) and the benchjson
-	// community suite.
+	// measured by internal/eval (PruneQualityDelta; TestPruneQualityFloor
+	// pins it at 0.6).
 	PruneMinOverlap float64
 	// WAL, when non-nil, receives every action Observe accepts — before
 	// the engine state mutates, inside the exclusive lock, so the log
@@ -513,7 +513,7 @@ func (e *Engine) coldStartAggregate(u UserID, k int, now Timestamp) []Recommenda
 // It exposes the raw §5 algorithm for analysis and tooling, on the same
 // kernel Observe runs: Incremental.AddSeeds into a fresh tweet state at
 // propagation.DefaultConfig(). The result drops the seeds and every score
-// at or below DefaultConfig().MinScore. Each call allocates its own
+// at or below propagation.MinScore. Each call allocates its own
 // scratch, so parallel calls share nothing.
 //
 // Seeds outside the dataset's user range are dropped at this boundary
@@ -526,12 +526,11 @@ func (e *Engine) PropagateScores(seeds []UserID) map[UserID]float64 {
 	seeds = e.validSeeds(seeds)
 	e.mu.RLock()
 	defer e.mu.RUnlock()
-	cfg := propagation.DefaultConfig()
 	st := propagation.NewTweetState()
-	propagation.NewIncremental(e.rec.Graph(), cfg).AddSeeds(st, seeds, len(seeds))
+	propagation.NewIncremental(e.rec.Graph(), propagation.DefaultConfig()).AddSeeds(st, seeds, len(seeds))
 	out := make(map[UserID]float64, len(st.P))
 	for u, p := range st.P {
-		if _, isSeed := st.Seeds[u]; !isSeed && p > cfg.MinScore {
+		if _, isSeed := st.Seeds[u]; !isSeed && p > propagation.MinScore {
 			out[u] = p
 		}
 	}

@@ -22,8 +22,7 @@ type Delta struct {
 	// while recommending different tweets, and this term catches that.
 	CommonRatio []float64
 	// MinHitRatio and MinCommonRatio are the worst points of the sweeps —
-	// the single-number summaries tests bound and BENCH_shard.json
-	// records.
+	// the single-number summaries tests bound.
 	MinHitRatio    float64
 	MinCommonRatio float64
 }

@@ -4,6 +4,7 @@ import (
 	"testing"
 
 	"repro/internal/community"
+	"repro/internal/gen"
 	"repro/internal/simgraph"
 )
 
@@ -55,4 +56,42 @@ func TestPruneQualityLossyBounds(t *testing.T) {
 	if q.CoveredFrac <= 0 || q.CoveredFrac > 1 {
 		t.Fatalf("covered fraction %v", q.CoveredFrac)
 	}
+}
+
+// TestPruneQualityFloor pins the cluster-pruned build's quality floor on
+// the dense-follow regime it is meant for (fine planted communities,
+// paper-scale follow density): overlap 0 is exact, and the lossy
+// operating point 0.6 keeps the worst-k hit ratio at or above 0.90
+// against the unpruned oracle (0.931 when the floor was set).
+func TestPruneQualityFloor(t *testing.T) {
+	ds, err := gen.Generate(gen.DenseFollowConfig(800, 1))
+	if err != nil {
+		t.Fatal(err)
+	}
+	r, err := NewReplay(ds, Options{
+		TrainFrac:      0.9,
+		KMin:           10,
+		KMax:           40,
+		KStep:          10,
+		SamplePerClass: 80,
+		Seed:           1,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	qs, err := r.PruneQualitySweep(simgraph.DefaultRecommenderConfig(), community.DefaultConfig(), []float64{0, 0.6})
+	if err != nil {
+		t.Fatal(err)
+	}
+	exact, lossy := qs[0], qs[1]
+	if exact.PrunedEdges != exact.OracleEdges || exact.Delta.MinHitRatio != 1 {
+		t.Fatalf("overlap 0 not exact: edges %d vs %d, worst-k hit ratio %v",
+			exact.PrunedEdges, exact.OracleEdges, exact.Delta.MinHitRatio)
+	}
+	if lossy.Delta.MinHitRatio < 0.90 {
+		t.Fatalf("overlap 0.6: worst-k hit ratio %.3f below the 0.90 floor (hits %v vs oracle %v)",
+			lossy.Delta.MinHitRatio, lossy.Delta.CandidateHits, lossy.Delta.OracleHits)
+	}
+	t.Logf("overlap 0.6: worst-k hit ratio %.3f, %d of %d edges kept",
+		lossy.Delta.MinHitRatio, lossy.PrunedEdges, lossy.OracleEdges)
 }

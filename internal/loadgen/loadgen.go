@@ -1,6 +1,6 @@
-// Package loadgen holds the measurement plumbing the load-generator
-// commands (cmd/serveload, cmd/netload) share: a genuine reservoir
-// sampler for latency percentiles.
+// Package loadgen holds the measurement plumbing of the load-generator
+// command cmd/serveload: a genuine reservoir sampler for latency
+// percentiles.
 //
 // The tools previously kept the *first* 2^16 sampled latencies, so a
 // long run's "percentiles" measured warm-up — cold caches, first-touch

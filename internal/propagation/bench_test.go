@@ -11,9 +11,9 @@ import (
 
 // Benchmarks comparing the epoch-stamped kernel against the frozen
 // reference implementation (reference.go), plus the DESIGN.md §5 solver
-// and threshold ablations. cmd/benchjson runs the kernel comparison on a
-// streaming replay and emits BENCH_propagation.json; CI runs these once
-// (-benchtime=1x) as a smoke check.
+// and threshold ablations. CI runs these once (-benchtime=1x) as a smoke
+// check; `go test -bench BenchmarkAddSeeds ./internal/propagation`
+// measures the kernel-vs-reference ratio.
 
 const (
 	benchNodes = 20000

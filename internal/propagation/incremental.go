@@ -62,6 +62,7 @@ type Incremental struct {
 	lastRecomputed  int
 	lastRounds      int
 	lastMaxFrontier int
+	lastBudgetHit   bool
 }
 
 // NewIncremental returns an incremental propagator over g.
@@ -127,7 +128,8 @@ func (inc *Incremental) AddSeeds(st *TweetState, seeds []ids.UserID, popularity 
 	if roundEnd > 0 {
 		rounds = 1
 	}
-	for head := 0; head < len(inc.queue) && budget > 0; head++ {
+	head := 0
+	for ; head < len(inc.queue) && budget > 0; head++ {
 		if head == roundEnd {
 			rounds++
 			if width := len(inc.queue) - roundEnd; width > maxFrontier {
@@ -160,6 +162,7 @@ func (inc *Incremental) AddSeeds(st *TweetState, seeds []ids.UserID, popularity 
 	inc.lastRecomputed = recomputed
 	inc.lastRounds = rounds
 	inc.lastMaxFrontier = maxFrontier
+	inc.lastBudgetHit = head < len(inc.queue)
 
 	// Gather: fold the final dense scores of changed users back into the
 	// sparse state — one map write per changed user, not per recompute.
@@ -180,6 +183,11 @@ func (inc *Incremental) LastRounds() int { return inc.lastRounds }
 // BFS level) of the most recent AddSeeds — the burst-width signal the
 // serving metrics export per propagation.
 func (inc *Incremental) LastMaxFrontier() int { return inc.lastMaxFrontier }
+
+// LastBudgetHit reports whether the most recent AddSeeds stopped on its
+// recomputation budget (MaxIterations × 4096) with users still queued,
+// leaving the state short of the fixpoint.
+func (inc *Incremental) LastBudgetHit() bool { return inc.lastBudgetHit }
 
 // recompute evaluates Definition 4.2 for u against the dense scratch.
 func (inc *Incremental) recompute(u ids.UserID) float64 {

@@ -118,6 +118,42 @@ func TestIncrementalStats(t *testing.T) {
 	}
 }
 
+// TestBudgetHitReported: with no threshold the ablation graph never
+// converges inside the recomputation budget, and AddSeeds must say so;
+// at DefaultConfig the kernel tests' small graphs converge and report no
+// hit, and a call that converges clears the previous call's flag.
+func TestBudgetHitReported(t *testing.T) {
+	g, seeds := ablationGraphSeeds()
+	cfg := DefaultConfig()
+	cfg.Threshold = StaticThreshold(0)
+	inc := NewIncremental(g, cfg)
+	inc.AddSeeds(NewTweetState(), seeds, len(seeds))
+	if !inc.LastBudgetHit() {
+		t.Fatalf("threshold 0 on %d nodes: no budget hit after %d recomputations", ablationNodes, inc.LastRecomputed())
+	}
+	if want := cfg.MaxIterations * 4096; inc.LastRecomputed() != want {
+		t.Fatalf("budget hit after %d recomputations, want %d", inc.LastRecomputed(), want)
+	}
+	inc.AddSeeds(NewTweetState(), nil, 1)
+	if inc.LastBudgetHit() {
+		t.Fatal("empty batch kept the previous call's budget hit")
+	}
+
+	for seed := uint64(0); seed < 40; seed++ {
+		n := 20 + int(seed%40)
+		g := randomSimGraph(n, 3, seed)
+		inc := NewIncremental(g, DefaultConfig())
+		st := NewTweetState()
+		rng := xrand.New(seed ^ 7)
+		for call := 0; call < 6; call++ {
+			inc.AddSeeds(st, []ids.UserID{ids.UserID(rng.Intn(n))}, call+1)
+			if inc.LastBudgetHit() {
+				t.Fatalf("graph seed %d call %d: budget hit at DefaultConfig after %d recomputations", seed, call, inc.LastRecomputed())
+			}
+		}
+	}
+}
+
 // FuzzIncremental drives multi-call AddSeeds sequences against both the
 // frozen reference (exact) and the dense oracle (tolerance), with seed
 // IDs that may fall outside the graph.

@@ -82,17 +82,17 @@ type Config struct {
 	// MaxIterations bounds the fixpoint loop as a safety net; convergence
 	// is guaranteed but the bound protects against pathological inputs.
 	MaxIterations int
-	// MinScore is the floor below which a one-shot result drops a user
-	// (Engine.PropagateScores keeps only scores above it). AddSeeds itself
-	// keeps everything touched.
-	MinScore float64
 }
+
+// MinScore is the floor below which a one-shot result drops a user
+// (Engine.PropagateScores keeps only scores above it). AddSeeds itself
+// keeps everything touched.
+const MinScore = 1e-9
 
 // DefaultConfig returns the configuration used by the experiments.
 func DefaultConfig() Config {
 	return Config{
 		Threshold:     StaticThreshold(1e-6),
 		MaxIterations: 200,
-		MinScore:      1e-9,
 	}
 }

@@ -137,7 +137,7 @@ func TestIncrementalMatchesBatch(t *testing.T) {
 		seeds := []ids.UserID{
 			ids.UserID(rng.Intn(35)), ids.UserID(rng.Intn(35)), ids.UserID(rng.Intn(35)),
 		}
-		cfg := Config{Threshold: StaticThreshold(1e-12), MaxIterations: 500, MinScore: 0}
+		cfg := Config{Threshold: StaticThreshold(1e-12), MaxIterations: 500}
 
 		inc := NewIncremental(g, cfg)
 		st := NewTweetState()

@@ -12,8 +12,8 @@ import (
 // TweetState map once per edge and allocates a changed-set map per call.
 // The epoch-stamped kernel in incremental.go replaces it on the
 // production path; it stays as the differential-test oracle and the
-// benchmark baseline that BENCH_propagation.json measures the kernel
-// against, exactly as pairwise similarity.Sim anchors SimBatch.
+// baseline BenchmarkAddSeedsRef measures the kernel against, exactly as
+// pairwise similarity.Sim anchors SimBatch.
 
 // RefIncremental is the frozen map-probing incremental propagator: the
 // innermost recompute loop looks every influencer up in the TweetState

@@ -12,8 +12,7 @@ import (
 // how much recommendation quality a 4-shard fleet loses to the
 // single-engine oracle because cross-shard similarity edges cannot
 // exist. The delta is a *measured* quantity, not an assumption: this
-// test is the guardrail that keeps it from silently regressing, and
-// BENCH_shard.json records the same numbers for the benchmark datasets.
+// test is the guardrail that keeps it from silently regressing.
 //
 // The floors below were calibrated on this fixture (300 users, seed 7,
 // 4 shards ≈ quarter-sized similarity neighborhoods): measured worst-k

@@ -26,7 +26,8 @@ const (
 type Options struct {
 	// Shards is the engine-shard count (1..MaxShards). 1 is a valid
 	// degenerate fleet — the router then adds only routing overhead,
-	// which is exactly the baseline BENCH_shard.json measures against.
+	// which is exactly the baseline BenchmarkRouterObserve measures
+	// against.
 	Shards int
 	// Replicas is the virtual-node count per shard on the hash ring
 	// (<= 0 takes DefaultReplicas).
@@ -57,7 +58,7 @@ type Options struct {
 // both profiles. The router counts every such event
 // (router/cross_shard_observes) and the quality cost is measured — not
 // assumed — by internal/eval's QualityDelta against a single-engine
-// oracle (see eval_test.go and BENCH_shard.json).
+// oracle (see eval_test.go).
 //
 // Router is safe for concurrent use: its own state is immutable after
 // construction except for atomic counters, and each shard enforces its

@@ -22,7 +22,7 @@ type fixture struct {
 	now   repro.Timestamp
 }
 
-func newFixture(t *testing.T, users int, seed uint64) *fixture {
+func newFixture(t testing.TB, users int, seed uint64) *fixture {
 	t.Helper()
 	ds, err := gen.Generate(gen.DefaultConfig(users, seed))
 	if err != nil {
@@ -39,7 +39,7 @@ func newFixture(t *testing.T, users int, seed uint64) *fixture {
 	return &fixture{ds: ds, train: train, test: test, eopts: eopts, now: now}
 }
 
-func (fx *fixture) newFleet(t *testing.T, opts Options) *Router {
+func (fx *fixture) newFleet(t testing.TB, opts Options) *Router {
 	t.Helper()
 	r, err := New(fx.ds, fx.eopts, opts)
 	if err != nil {
@@ -537,4 +537,42 @@ func TestRouterRace(t *testing.T) {
 	}()
 
 	wg.Wait()
+}
+
+// BenchmarkRouterObserve streams the fixture's test split through
+// Router.Observe from four concurrent writers, at 1, 2 and 4 shards. Each
+// iteration builds a fresh fleet off the clock: observing mutates the
+// candidate pools, so a reused fleet would see a different workload. It
+// reports ingest throughput and the share of observes whose tweet already
+// had sharers on another shard (similarity mass the partition destroys).
+func BenchmarkRouterObserve(b *testing.B) {
+	const writers = 4
+	fx := newFixture(b, 1200, 1)
+	for _, shards := range []int{1, 2, 4} {
+		b.Run(fmt.Sprintf("shards=%d", shards), func(b *testing.B) {
+			var lossFrac float64
+			for i := 0; i < b.N; i++ {
+				b.StopTimer()
+				r := fx.newFleet(b, Options{Shards: shards})
+				b.StartTimer()
+				var wg sync.WaitGroup
+				for w := 0; w < writers; w++ {
+					wg.Add(1)
+					go func(part []repro.Action) {
+						defer wg.Done()
+						for _, a := range part {
+							if err := r.Observe(a.User, a.Tweet, a.Time); err != nil {
+								b.Error(err)
+								return
+							}
+						}
+					}(fx.test[len(fx.test)*w/writers : len(fx.test)*(w+1)/writers])
+				}
+				wg.Wait()
+				lossFrac = float64(r.CrossShardObserves()) / float64(len(fx.test))
+			}
+			b.ReportMetric(float64(b.N*len(fx.test))/b.Elapsed().Seconds(), "actions/s")
+			b.ReportMetric(lossFrac, "cross-shard-loss-frac")
+		})
+	}
 }

@@ -10,7 +10,7 @@ import (
 )
 
 // benchPruneWorld generates the dense-follow benchmark dataset (the
-// regime the benchjson community suite measures: fine planted
+// regime TestPruneQualityFloor in internal/eval pins: fine planted
 // communities, paper-scale follow density, candidate-generation-bound
 // builds) plus a store and detected embeddings over the unpruned build.
 func benchPruneWorld(b *testing.B, users int) (*dataset.Dataset, *similarity.Store, *community.Embeddings) {

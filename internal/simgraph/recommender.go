@@ -104,6 +104,7 @@ type Recommender struct {
 	mRecomputes   *metrics.Counter   // user-score recomputations
 	mRounds       *metrics.Counter   // cumulative frontier depth
 	mFrontier     *metrics.Histogram // widest frontier round per propagation
+	mBudgetHits   *metrics.Counter   // propagations cut short by the recompute budget
 	mDrains       *metrics.Counter   // drains that flushed ≥ 1 batch
 	mBatches      *metrics.Counter   // postponed batches propagated
 	mDrainWall    *metrics.Histogram // wall ns per drain
@@ -152,6 +153,7 @@ func (r *Recommender) attach(ctx *recsys.Context) {
 	r.mRecomputes = reg.Counter("rec/recomputations")
 	r.mRounds = reg.Counter("rec/rounds")
 	r.mFrontier = reg.Histogram("rec/frontier_width")
+	r.mBudgetHits = reg.Counter("rec/budget_hits")
 	r.mDrains = reg.Counter("rec/drains")
 	r.mBatches = reg.Counter("rec/drain/batches")
 	r.mDrainWall = reg.Histogram("rec/drain/wall_ns")
@@ -298,6 +300,9 @@ func (r *Recommender) propagate(task drainTask) {
 	r.mRecomputes.Add(uint64(r.inc.LastRecomputed()))
 	r.mRounds.Add(uint64(r.inc.LastRounds()))
 	r.mFrontier.Observe(int64(r.inc.LastMaxFrontier()))
+	if r.inc.LastBudgetHit() {
+		r.mBudgetHits.Inc()
+	}
 }
 
 // evictExpired drops propagation state of tweets past the freshness

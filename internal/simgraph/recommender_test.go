@@ -6,6 +6,8 @@ import (
 	"repro/internal/dataset"
 	"repro/internal/gen"
 	"repro/internal/ids"
+	"repro/internal/metrics"
+	"repro/internal/propagation"
 	"repro/internal/recsys"
 )
 
@@ -54,6 +56,32 @@ func replayInto(t *testing.T, r *Recommender, ds *dataset.Dataset, ctx *recsys.C
 		}
 	}
 	return produced, now
+}
+
+// TestBudgetHitsCounted: rec/budget_hits counts the propagations AddSeeds
+// cut short on its recomputation budget — none at the default config, some
+// once the threshold is 0 and the budget is one round of 4096.
+func TestBudgetHitsCounted(t *testing.T) {
+	ds, ctx := recommenderWorld(t)
+	replay := func(prop propagation.Config) (hits, props uint64) {
+		reg := metrics.NewRegistry()
+		cfg := DefaultRecommenderConfig()
+		cfg.Metrics = reg
+		cfg.Prop = prop
+		r := NewRecommender(cfg)
+		if err := r.Init(ctx); err != nil {
+			t.Fatal(err)
+		}
+		replayInto(t, r, ds, ctx)
+		return reg.Counter("rec/budget_hits").Value(), reg.Counter("rec/propagations").Value()
+	}
+	if hits, props := replay(DefaultRecommenderConfig().Prop); hits != 0 || props == 0 {
+		t.Fatalf("default config: %d budget hits over %d propagations", hits, props)
+	}
+	hits, props := replay(propagation.Config{Threshold: propagation.StaticThreshold(0), MaxIterations: 1})
+	if hits == 0 || hits > props {
+		t.Fatalf("threshold 0, budget 4096: %d budget hits over %d propagations", hits, props)
+	}
 }
 
 func TestRecommenderEndToEnd(t *testing.T) {

@@ -212,12 +212,11 @@ func TestEnginePropagateScores(t *testing.T) {
 		t.Fatal("propagation reached nobody")
 	}
 
-	cfg := propagation.DefaultConfig()
 	st := propagation.NewTweetState()
-	propagation.NewIncremental(g, cfg).AddSeeds(st, seeds, len(seeds))
+	propagation.NewIncremental(g, propagation.DefaultConfig()).AddSeeds(st, seeds, len(seeds))
 	want := 0
 	for u, p := range st.P {
-		if _, isSeed := st.Seeds[u]; isSeed || p <= cfg.MinScore {
+		if _, isSeed := st.Seeds[u]; isSeed || p <= propagation.MinScore {
 			continue
 		}
 		want++
@@ -240,7 +239,7 @@ func TestEnginePropagateScores(t *testing.T) {
 }
 
 // TestResultExcludesBelowMinScore: a /propagate answer holds neither the
-// seeds nor any score at or below DefaultConfig().MinScore, although the
+// seeds nor any score at or below propagation.MinScore, although the
 // kernel's state keeps both.
 func TestResultExcludesBelowMinScore(t *testing.T) {
 	ds := testDataset(t)
@@ -252,7 +251,7 @@ func TestResultExcludesBelowMinScore(t *testing.T) {
 	if len(seeds) == 0 {
 		t.Skip("no influential user in tiny graph")
 	}
-	minScore := propagation.DefaultConfig().MinScore
+	minScore := propagation.MinScore
 	st := propagation.NewTweetState()
 	propagation.NewIncremental(eng.rec.Graph(), propagation.DefaultConfig()).AddSeeds(st, seeds, len(seeds))
 	low := 0
