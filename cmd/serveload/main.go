@@ -16,17 +16,11 @@
 // checkpoint before load starts, so the directory is recoverable from
 // the first streamed action on.
 //
-// With -shards N the users are partitioned across N independent engine
-// shards behind the consistent-hash router (internal/shard): writes
-// quiesce only their owner shard, reads fan out only for cold users,
-// and with -wal-dir every shard logs and checkpoints into its own
-// subdirectory and recovers independently on restart.
-//
 // Usage:
 //
 //	serveload [-users 5000] [-seed 1] [-load ds.bin] [-readers 8]
 //	          [-duration 10s] [-k 10] [-postpone] [-diverse]
-//	          [-shards 1] [-debug 127.0.0.1:6060] [-refresh-every 0]
+//	          [-debug 127.0.0.1:6060] [-refresh-every 0]
 //	          [-refresh-strategy update-weights]
 //	          [-cluster-prune] [-prune-min-overlap 0]
 //	          [-wal-dir DIR] [-wal-sync interval] [-checkpoint-every 0]
@@ -48,7 +42,6 @@ import (
 	"repro/internal/gen"
 	"repro/internal/loadgen"
 	"repro/internal/metrics"
-	"repro/internal/shard"
 )
 
 func main() {
@@ -70,27 +63,15 @@ func main() {
 		walDir   = flag.String("wal-dir", "", "durability directory: WAL every Observe and recover from it on start")
 		walSync  = flag.String("wal-sync", "interval", "WAL fsync policy: always, interval, or none")
 		ckEvery  = flag.Duration("checkpoint-every", 0, "background checkpoint period into -wal-dir (0 = never)")
-		shards   = flag.Int("shards", 1, "partition users across this many engine shards via the consistent-hash router (with -wal-dir each shard gets its own WAL+checkpoint subdirectory)")
 		prune    = flag.Bool("cluster-prune", false, "detect community embeddings at each refresh and pre-filter candidate generation with them")
 		pruneOv  = flag.Float64("prune-min-overlap", 0, "lossy prune threshold for -cluster-prune (0 = provably lossless certificate mode)")
 	)
 	flag.Parse()
-	if *shards > 1 && *diverse {
-		log.Fatal("-diverse needs the whole-population bubble assignment; it requires -shards 1")
-	}
 
 	start := time.Now()
 
-	// Every serving shape — one engine or a sharded fleet behind the
-	// consistent-hash router — drives the same load loops through these.
 	var (
-		eng         *repro.Engine
-		observeFn   func(repro.UserID, repro.TweetID, repro.Timestamp) error
-		recommendFn func(repro.UserID, int, repro.Timestamp) []repro.Recommendation
-		metricsFn   func() metrics.Snapshot
-		refreshFn   func(repro.UpdateStrategy)
-	)
-	var (
+		eng *repro.Engine
 		ds  *repro.Dataset
 		err error
 	)
@@ -113,71 +94,7 @@ func main() {
 	opts.ClusterPrune = *prune
 	opts.PruneMinOverlap = *pruneOv
 
-	if *shards > 1 {
-		var router *shard.Router
-		if *walDir != "" {
-			policy, err := repro.ParseWALSyncPolicy(*walSync)
-			if err != nil {
-				log.Fatal(err)
-			}
-			var stats []repro.RecoveryStats
-			router, stats, err = shard.Open(*walDir, repro.OpenOptions{
-				Engine:          opts,
-				Dataset:         ds,
-				WALSync:         policy,
-				CheckpointEvery: *ckEvery,
-			}, shard.Options{Shards: *shards})
-			if err != nil {
-				log.Fatal(err)
-			}
-			recovered := false
-			for i, rs := range stats {
-				if !rs.Recovered {
-					continue
-				}
-				recovered = true
-				fmt.Printf("recovered shard %d: checkpoint seq %d (%d actions) + WAL tail %d records (torn=%v) in %v\n",
-					i, rs.CheckpointSeq, rs.CheckpointActions, rs.WALRecords, rs.WALTorn,
-					rs.Duration.Round(time.Millisecond))
-			}
-			if !recovered {
-				// Fresh directory: seed every shard with a bootstrap
-				// checkpoint synchronously, so a kill at any later moment
-				// recovers the whole fleet without this process's generated
-				// dataset.
-				cks, err := router.Checkpoint()
-				if err != nil {
-					log.Fatal(err)
-				}
-				var bytes int64
-				for _, st := range cks {
-					bytes += st.Bytes
-				}
-				fmt.Printf("durability: fresh %s, bootstrap checkpoints on %d shards (%d bytes, sync=%s)\n",
-					*walDir, len(cks), bytes, policy)
-			}
-		} else if router, err = shard.New(ds, opts, shard.Options{Shards: *shards}); err != nil {
-			log.Fatal(err)
-		}
-		defer router.Close()
-		observeFn = router.Observe
-		recommendFn = router.Recommend
-		metricsFn = router.Metrics
-		refreshFn = func(strat repro.UpdateStrategy) {
-			t0 := time.Now()
-			stats := router.RefreshGraphStats(strat)
-			var dirty, added, removed, reweighted int
-			for _, st := range stats {
-				dirty += st.DirtyUsers
-				added += st.EdgesAdded
-				removed += st.EdgesRemoved
-				reweighted += st.EdgesReweighted
-			}
-			log.Printf("refresh(%s): fleet wall=%v over %d shards, dirty=%d Δedges=+%d/-%d/~%d",
-				strat, time.Since(t0).Round(time.Millisecond), len(stats),
-				dirty, added, removed, reweighted)
-		}
-	} else if *walDir != "" {
+	if *walDir != "" {
 		policy, err := repro.ParseWALSyncPolicy(*walSync)
 		if err != nil {
 			log.Fatal(err)
@@ -211,27 +128,12 @@ func main() {
 	} else if eng, err = repro.NewEngine(ds, opts); err != nil {
 		log.Fatal(err)
 	}
-	if eng != nil {
-		observeFn = eng.Observe
-		recommendFn = eng.Recommend
-		metricsFn = eng.Metrics
-		refreshFn = func(strat repro.UpdateStrategy) {
-			st := eng.RefreshGraphStats(strat)
-			log.Printf("refresh(%s): build=%v write-stall=%v lock=%v dirty=%d Δedges=+%d/-%d/~%d replayed=%d compacted=%d",
-				st.Strategy,
-				st.BuildTime.Round(time.Millisecond),
-				st.WriteStall.Round(time.Microsecond),
-				st.LockHold.Round(time.Microsecond),
-				st.DirtyUsers, st.EdgesAdded, st.EdgesRemoved, st.EdgesReweighted,
-				st.Replayed, st.Compacted)
-		}
-	}
-	fmt.Printf("trained on %d users / %d train actions across %d shard(s) in %v (GOMAXPROCS=%d)\n",
-		ds.NumUsers(), len(train), *shards, time.Since(start).Round(time.Millisecond), runtime.GOMAXPROCS(0))
+	fmt.Printf("trained on %d users / %d train actions in %v (GOMAXPROCS=%d)\n",
+		ds.NumUsers(), len(train), time.Since(start).Round(time.Millisecond), runtime.GOMAXPROCS(0))
 
 	if *debug != "" {
 		mux := http.NewServeMux()
-		mux.Handle("/", metrics.NewDebugMux(metricsFn))
+		mux.Handle("/", metrics.NewDebugMux(eng.Metrics))
 		srv := &http.Server{Addr: *debug, Handler: mux}
 		go func() {
 			if err := srv.ListenAndServe(); err != nil && err != http.ErrServerClosed {
@@ -273,7 +175,7 @@ func main() {
 			default:
 			}
 			a := test[i%len(test)]
-			if err := observeFn(a.User, a.Tweet, a.Time); err != nil {
+			if err := eng.Observe(a.User, a.Tweet, a.Time); err != nil {
 				log.Fatal(err)
 			}
 			writes.Add(1)
@@ -295,7 +197,7 @@ func main() {
 				if *diverse {
 					eng.RecommendDiverse(assignment, repro.UserID(u), *k, now, 0.5)
 				} else {
-					recommendFn(repro.UserID(u), *k, now)
+					eng.Recommend(repro.UserID(u), *k, now)
 				}
 				el := time.Since(t0)
 				readNS.Add(int64(el))
@@ -329,7 +231,14 @@ func main() {
 				case <-stop:
 					return
 				case <-tick.C:
-					refreshFn(strat)
+					st := eng.RefreshGraphStats(strat)
+					log.Printf("refresh(%s): build=%v write-stall=%v lock=%v dirty=%d Δedges=+%d/-%d/~%d replayed=%d compacted=%d",
+						st.Strategy,
+						st.BuildTime.Round(time.Millisecond),
+						st.WriteStall.Round(time.Microsecond),
+						st.LockHold.Round(time.Microsecond),
+						st.DirtyUsers, st.EdgesAdded, st.EdgesRemoved, st.EdgesReweighted,
+						st.Replayed, st.Compacted)
 				}
 			}
 		}()
@@ -355,7 +264,7 @@ func main() {
 	}
 
 	fmt.Println("\n--- engine metrics ---")
-	if err := metricsFn().WriteText(os.Stdout); err != nil {
+	if err := eng.Metrics().WriteText(os.Stdout); err != nil {
 		log.Fatal(err)
 	}
 }

@@ -6,11 +6,7 @@
 // freshly trained engine into a directory, and -recover opens a
 // durability directory (e.g. serveload's -wal-dir after a crash),
 // replays checkpoint + WAL tail, and reports what came back — exiting
-// non-zero when nothing is recoverable. A directory holding a
-// router.json (serveload -shards N -wal-dir) is recovered as a whole
-// sharded fleet, every shard from its own subdirectory; supply the same
-// -users/-seed (or -load) as the original run, since per-shard training
-// slices are filtered views of the dataset.
+// non-zero when nothing is recoverable.
 //
 // Usage:
 //
@@ -20,11 +16,9 @@
 package main
 
 import (
-	"errors"
 	"flag"
 	"fmt"
 	"log"
-	"os"
 	"sort"
 	"time"
 
@@ -35,7 +29,6 @@ import (
 	"repro/internal/gen"
 	"repro/internal/ids"
 	"repro/internal/propagation"
-	"repro/internal/shard"
 	"repro/internal/simgraph"
 	"repro/internal/similarity"
 )
@@ -59,38 +52,21 @@ func main() {
 	flag.Parse()
 	all := !(*table4 || *fig5 || *propTweet >= 0 || *ckptDir != "" || *recDir != "")
 
-	loadDataset := func() *dataset.Dataset {
-		var ds *dataset.Dataset
-		var err error
-		if *load != "" {
-			ds, err = dataset.LoadFile(*load)
-		} else {
-			ds, err = gen.Generate(gen.DefaultConfig(*users, *seed))
-		}
-		if err != nil {
-			log.Fatal(err)
-		}
-		return ds
-	}
-
 	if *recDir != "" {
-		// A router.json marks a sharded durability root (serveload
-		// -shards N -wal-dir); recover the whole fleet. The dataset is
-		// needed up front there: per-shard training slices are filtered
-		// views the shard checkpoints cannot reconstruct alone.
-		sopts, numUsers, err := shard.ManifestOptions(*recDir)
-		switch {
-		case err == nil:
-			runRecoverSharded(*recDir, loadDataset(), sopts, numUsers)
-		case errors.Is(err, os.ErrNotExist):
-			runRecover(*recDir)
-		default:
-			log.Fatal(err)
-		}
+		runRecover(*recDir)
 		return
 	}
 
-	ds := loadDataset()
+	var ds *dataset.Dataset
+	var err error
+	if *load != "" {
+		ds, err = dataset.LoadFile(*load)
+	} else {
+		ds, err = gen.Generate(gen.DefaultConfig(*users, *seed))
+	}
+	if err != nil {
+		log.Fatal(err)
+	}
 
 	if *ckptDir != "" {
 		runCheckpoint(ds, *ckptDir, *tau)
@@ -168,39 +144,6 @@ func runRecover(dir string) {
 	}
 	fmt.Printf("  engine     : %d users, %d tweets, %d observed actions live\n",
 		ds.NumUsers(), ds.NumTweets(), len(eng.ObservedActions()))
-}
-
-// runRecoverSharded reopens a K-shard durability root (its ring read
-// back from router.json) and reports what every shard recovered. Exits
-// non-zero when no shard holds recoverable state.
-func runRecoverSharded(dir string, ds *dataset.Dataset, sopts shard.Options, numUsers int) {
-	if ds.NumUsers() != numUsers {
-		log.Fatalf("%s was created for %d users; the supplied dataset has %d (wrong -users/-seed/-load?)",
-			dir, numUsers, ds.NumUsers())
-	}
-	router, stats, err := shard.Open(dir, repro.OpenOptions{
-		Engine:  repro.DefaultEngineOptions(),
-		Dataset: ds,
-	}, sopts)
-	if err != nil {
-		log.Fatal(err)
-	}
-	defer router.Close()
-	fmt.Printf("recovered sharded fleet from %s (%d shards, ring seed %d)\n", dir, sopts.Shards, sopts.Seed)
-	recovered := 0
-	for i, rs := range stats {
-		if rs.Recovered {
-			recovered++
-		}
-		fmt.Printf("  shard %d: checkpoint seq %d (%d actions) + WAL tail %d records (torn=%v) in %v\n",
-			i, rs.CheckpointSeq, rs.CheckpointActions, rs.WALRecords, rs.WALTorn,
-			rs.Duration.Round(time.Millisecond))
-	}
-	if recovered == 0 {
-		log.Fatalf("%s holds no recoverable state on any of %d shards", dir, len(stats))
-	}
-	fmt.Printf("  fleet      : %d/%d shards recovered, %d observed actions live\n",
-		recovered, len(stats), len(router.ObservedActions()))
 }
 
 // runPropagation builds the graph, seeds the propagation with the tweet's

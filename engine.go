@@ -66,10 +66,6 @@ type EngineOptions struct {
 	// TrackUsers limits recommendation state to these users; nil tracks
 	// everyone (costs one candidate map per user).
 	TrackUsers []UserID
-	// TopicAlpha blends topic-engagement similarity into Definition 3.1
-	// (the paper's §7 "topic tweets" future work): 0 disables, 1 uses
-	// topics only. Helps small users whose profiles rarely overlap.
-	TopicAlpha float64
 	// ColdStartFallback serves users with no pool candidates of their own
 	// by aggregating their followees' recommendations — the GraphJet-style
 	// neighbourhood workaround the paper sketches in §4.1. With
@@ -129,7 +125,7 @@ func DefaultEngineOptions() EngineOptions {
 // recommender, and keeps all three consistent as retweets stream in.
 //
 // Engine is safe for concurrent use. The read path — Recommend,
-// RecommendWithColdStart, ColdStartPartial, RecommendDiverse, Similarity,
+// RecommendWithColdStart, RecommendDiverse, Similarity,
 // PropagateScores, GraphCharacteristics, DetectBubbles, ObservedActions —
 // may be called from any number of goroutines simultaneously; reads scale
 // with GOMAXPROCS because the candidate pools are lock-split per user and
@@ -322,9 +318,6 @@ func newEngineCore(ds *Dataset, opts EngineOptions) (*Engine, error) {
 		e.metrics.Counter("similarity/prune/candidates_dropped"),
 		e.metrics.Counter("similarity/prune/kernel_calls_saved"),
 	)
-	if opts.TopicAlpha > 0 {
-		e.store.EnableTopics(func(t TweetID) int16 { return ds.Tweets[t].Topic }, opts.TopicAlpha)
-	}
 	e.ctx = &recsys.Context{
 		Dataset: ds,
 		Train:   train,
@@ -402,10 +395,6 @@ func (e *Engine) detectClusters(g *wgraph.Graph) {
 	e.mClusters.Set(int64(emb.NumClusters()))
 }
 
-// Clusters returns the current community embeddings, or nil when
-// ClusterPrune is off (or no detection has run yet).
-func (e *Engine) Clusters() *community.Embeddings { return e.clusters.Load() }
-
 // Observe streams one retweet into the engine: it updates the user's
 // profile, re-propagates the tweet's share probabilities over the
 // similarity graph, and refreshes candidate pools. It is a one-action
@@ -430,29 +419,6 @@ func (e *Engine) Observe(u UserID, t TweetID, at Timestamp) error {
 func (e *Engine) Recommend(u UserID, k int, now Timestamp) []Recommendation {
 	out, _ := e.RecommendWithColdStart(u, k, now)
 	return out
-}
-
-// ColdStartPartial returns this engine's UNtruncated cold-start
-// aggregate for u: every candidate tweet the locally tracked followees
-// contribute, averaged over u's full followee count. k bounds each
-// followee's contributing recommendation list (it is part of the
-// fallback's definition), not the result length, and the result order
-// is unspecified — callers rank after merging.
-//
-// This is the scatter-gather primitive for routers that partition users
-// across engines (internal/shard): a cold user's followees may be
-// tracked on several engines, and the router reconstructs the global
-// fallback by summing the partial aggregates — every engine normalizes
-// by the user's full followee count, so partial sums over disjoint
-// followee subsets merge exactly — and only then keeping the top k.
-// Safe for concurrent callers.
-func (e *Engine) ColdStartPartial(u UserID, k int, now Timestamp) []Recommendation {
-	if int(u) >= e.ds.NumUsers() || k <= 0 {
-		return nil
-	}
-	e.mu.RLock()
-	defer e.mu.RUnlock()
-	return e.coldStartAggregate(u, k, now)
 }
 
 // coldStartAggregate aggregates the followees' candidate lists without
@@ -483,9 +449,7 @@ func (e *Engine) coldStartAggregate(u UserID, k int, now Timestamp) []Recommenda
 		// clusters gets up to a 2x vote (1 + overlap ∈ [1, 2]); with no
 		// embeddings every weight is exactly 1 and this is the original
 		// popularity aggregation. A truly cold user's own vector comes
-		// from the followee-label fill in community.Detect. The weight
-		// depends only on (u, v) and this engine's embeddings, so the
-		// sharded partial-sum merge contract above is preserved.
+		// from the followee-label fill in community.Detect.
 		wv := 1.0
 		if emb != nil {
 			wv += emb.Overlap(u, v)
@@ -889,8 +853,7 @@ func (e *Engine) MetricsRegistry() *metrics.Registry { return e.metrics }
 // ObservedActions returns a copy of the actions streamed in so far. The
 // copy is taken under the read lock, so it is a consistent prefix of the
 // observed log even while writers stream, and mutating it never touches
-// engine state — required when the caller is a shard router polling many
-// engines whose logs compact concurrently (RefreshGraphStats rewrites the
+// engine state (RefreshGraphStats compacts the log by rewriting its
 // backing array in place under the exclusive lock).
 func (e *Engine) ObservedActions() []Action {
 	e.mu.RLock()
@@ -902,8 +865,7 @@ func (e *Engine) ObservedActions() []Action {
 
 // Dataset returns the engine's dataset. The pointer is shared, not
 // copied — the dataset is multi-megabyte and immutable by contract: no
-// engine method ever mutates it, and a shard router deliberately shares
-// one dataset across every shard engine. Callers must treat the graph,
+// engine method ever mutates it. Callers must treat the graph,
 // tweet, and action slices as read-only; no lock is needed because the
 // field is set at construction and never reassigned.
 func (e *Engine) Dataset() *Dataset { return e.ds }

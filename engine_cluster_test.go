@@ -39,7 +39,7 @@ func TestClusterDetectionLifecycle(t *testing.T) {
 	opts := DefaultEngineOptions()
 	opts.ClusterPrune = true
 	e, _, _ := clusterFixture(t, opts)
-	emb := e.Clusters()
+	emb := e.clusters.Load()
 	if emb == nil {
 		t.Fatal("no embeddings after NewEngine with ClusterPrune")
 	}
@@ -51,7 +51,7 @@ func TestClusterDetectionLifecycle(t *testing.T) {
 	}
 	before := e.Metrics().Counter("engine/community/detections")
 	e.RefreshGraphStats(UpdateIncremental)
-	if e.Clusters() == emb {
+	if e.clusters.Load() == emb {
 		t.Error("refresh did not re-detect embeddings")
 	}
 	if after := e.Metrics().Counter("engine/community/detections"); after != before+1 {
@@ -63,7 +63,7 @@ func TestClusterDetectionLifecycle(t *testing.T) {
 // ClusterPrune the engine never pays for detection.
 func TestClusterPruneOffNoEmbeddings(t *testing.T) {
 	e, _, _ := clusterFixture(t, DefaultEngineOptions())
-	if e.Clusters() != nil {
+	if e.clusters.Load() != nil {
 		t.Fatal("embeddings detected despite ClusterPrune=false")
 	}
 	if n := e.Metrics().Counter("engine/community/detections"); n != 0 {
@@ -73,14 +73,14 @@ func TestClusterPruneOffNoEmbeddings(t *testing.T) {
 
 // TestClusterColdStart pins the overlap-weighted fallback against a
 // reference aggregation computed through the public per-followee
-// recommendations and the published embeddings — the exact definition
-// the sharded partial-sum merge relies on.
+// recommendations and the published embeddings, then pins that the
+// serving path flags every cold user and ranks exactly that aggregate.
 func TestClusterColdStart(t *testing.T) {
 	opts := DefaultEngineOptions()
 	opts.ClusterPrune = true
 	opts.ColdStartFallback = false // followee recs must be pool-only below
 	e, _, now := clusterFixture(t, opts)
-	emb := e.Clusters()
+	emb := e.clusters.Load()
 
 	const k = 10
 	checked := 0
@@ -90,7 +90,7 @@ func TestClusterColdStart(t *testing.T) {
 		if len(followees) == 0 {
 			continue
 		}
-		got := topK(e.ColdStartPartial(u, k, now), k)
+		got := coldStartTopK(e, u, k, now)
 		// Reference: the documented aggregation over public pieces.
 		profile := e.store.Profile(u)
 		sharedBy := make(map[TweetID]bool, len(profile))
@@ -115,16 +115,7 @@ func TestClusterColdStart(t *testing.T) {
 		for tw, sum := range agg {
 			top.Offer(tw, sum*inv)
 		}
-		want := top.Ranked()
-		if len(got) != len(want) {
-			t.Fatalf("user %d: got %d recs, want %d", u, len(got), len(want))
-		}
-		for i := range got {
-			if got[i].Tweet != want[i].Tweet || got[i].Score != want[i].Score {
-				t.Fatalf("user %d rec %d: got (%d, %v), want (%d, %v)",
-					u, i, got[i].Tweet, got[i].Score, want[i].Tweet, want[i].Score)
-			}
-		}
+		sameRecs(t, u, got, top.Ranked())
 		if len(got) > 0 {
 			checked++
 		}
@@ -134,6 +125,17 @@ func TestClusterColdStart(t *testing.T) {
 	}
 	if !weighted {
 		t.Fatal("vacuous: no followee had nonzero cluster overlap with a cold user")
+	}
+
+	// The serving path: with the fallback on, every cold user is served
+	// the ranked aggregate and flagged cold.
+	e.opts.ColdStartFallback = true
+	for _, u := range e.coldStartUsers() {
+		got, cold := e.RecommendWithColdStart(u, k, now)
+		if !cold {
+			t.Fatalf("user %d: cold-start user served without the cold flag", u)
+		}
+		sameRecs(t, u, got, coldStartTopK(e, u, k, now))
 	}
 }
 
@@ -161,12 +163,30 @@ func TestClusterPruneServesRefresh(t *testing.T) {
 	}
 }
 
-// topK ranks an untruncated cold-start aggregate and keeps the k best,
-// exactly as the engine's cold branch does.
-func topK(recs []Recommendation, k int) []Recommendation {
+// coldStartTopK ranks u's untruncated cold-start aggregate, taken under
+// the read lock, and keeps the k best, exactly as the engine's cold
+// branch does.
+func coldStartTopK(e *Engine, u UserID, k int, now Timestamp) []Recommendation {
+	e.mu.RLock()
+	defer e.mu.RUnlock()
 	top := recsys.NewTopK(k)
-	for _, r := range recs {
+	for _, r := range e.coldStartAggregate(u, k, now) {
 		top.Offer(r.Tweet, r.Score)
 	}
 	return top.Ranked()
+}
+
+// sameRecs fails the test unless user u's got and want lists match
+// tweet for tweet and bit for bit in score.
+func sameRecs(t *testing.T, u UserID, got, want []Recommendation) {
+	t.Helper()
+	if len(got) != len(want) {
+		t.Fatalf("user %d: got %d recs, want %d", u, len(got), len(want))
+	}
+	for i := range got {
+		if got[i].Tweet != want[i].Tweet || got[i].Score != want[i].Score {
+			t.Fatalf("user %d rec %d: got (%d, %v), want (%d, %v)",
+				u, i, got[i].Tweet, got[i].Score, want[i].Tweet, want[i].Score)
+		}
+	}
 }

@@ -84,7 +84,6 @@ func (c Config) withDefaults() Config {
 type Embeddings struct {
 	labels []int32 // per user, compacted cluster id or NoCluster
 	sizes  []int32 // per cluster, member count (by hard label)
-	rounds int     // propagation rounds actually run
 
 	// CSR membership: user u's vector is cluster[ptr[u]:ptr[u+1]] with
 	// matching weights, cluster ids sorted ascending per user, weights
@@ -117,9 +116,8 @@ func Detect(sim *wgraph.Graph, follow *graph.Graph, cfg Config) *Embeddings {
 		}
 	}
 
-	rounds := 0
 	if active > 0 {
-		for ; rounds < cfg.MaxRounds; rounds++ {
+		for rounds := 0; rounds < cfg.MaxRounds; rounds++ {
 			if !propagateRound(sim, prev, next, cfg.Workers) {
 				break
 			}
@@ -127,7 +125,7 @@ func Detect(sim *wgraph.Graph, follow *graph.Graph, cfg Config) *Embeddings {
 		}
 	}
 
-	e := &Embeddings{rounds: rounds}
+	e := &Embeddings{}
 	remap := e.compactLabels(prev, cfg.MinClusterSize)
 	e.buildMembership(sim, follow, prev, remap, cfg)
 	e.buildBucketLabels()
@@ -438,10 +436,6 @@ func (e *Embeddings) NumUsers() int { return len(e.labels) }
 // NumClusters returns the number of surviving (compacted) clusters.
 func (e *Embeddings) NumClusters() int { return len(e.sizes) }
 
-// Rounds returns how many propagation rounds ran before convergence or
-// the MaxRounds cap.
-func (e *Embeddings) Rounds() int { return e.rounds }
-
 // ClusterSize returns the member count of cluster c (hard labels).
 func (e *Embeddings) ClusterSize(c int32) int32 {
 	if c < 0 || int(c) >= len(e.sizes) {
@@ -499,9 +493,9 @@ func (e *Embeddings) Covered() int {
 	return c
 }
 
-// MeanVectorLen returns the average membership-vector length over
+// meanVectorLen returns the average membership-vector length over
 // covered users (0 when nothing is covered).
-func (e *Embeddings) MeanVectorLen() float64 {
+func (e *Embeddings) meanVectorLen() float64 {
 	c := e.Covered()
 	if c == 0 {
 		return 0

@@ -135,7 +135,7 @@ func TestDetectDeterministic(t *testing.T) {
 }
 
 func equalEmbeddings(a, b *Embeddings) bool {
-	if len(a.labels) != len(b.labels) || len(a.cluster) != len(b.cluster) || a.rounds != b.rounds {
+	if len(a.labels) != len(b.labels) || len(a.cluster) != len(b.cluster) {
 		return false
 	}
 	for i := range a.labels {
@@ -185,8 +185,8 @@ func TestMeanVectorLenAndCovered(t *testing.T) {
 	if e.Covered() != 8 {
 		t.Fatalf("covered = %d, want 8", e.Covered())
 	}
-	if e.MeanVectorLen() <= 0 {
-		t.Fatalf("mean vector len %v", e.MeanVectorLen())
+	if e.meanVectorLen() <= 0 {
+		t.Fatalf("mean vector len %v", e.meanVectorLen())
 	}
 }
 

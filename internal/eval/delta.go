@@ -1,9 +1,9 @@
 package eval
 
 // QualityDelta quantifies how far a candidate method's recommendation
-// quality drifts from an oracle run of the same replay — the measurement
-// the sharded serving layer (internal/shard) reports instead of assuming
-// partitioning is free. Both Metrics must come from the same Replay (same
+// quality drifts from an oracle run of the same replay — how a lossy
+// mechanism (the lossy community prune, PruneQualityDelta) reports its
+// cost instead of assuming it is free. Both Metrics must come from the same Replay (same
 // cohort, same k sweep); the function panics on mismatched sweeps because
 // a delta across different protocols is meaningless.
 

@@ -8,9 +8,9 @@ import (
 )
 
 // PruneQuality is the outcome of a cluster-pruned-vs-unpruned replay
-// comparison: the per-k quality delta (same shape as the sharding
-// report) plus the structural facts that explain it — how many edges
-// the pruned build kept and what the community detection cost.
+// comparison: the per-k quality delta plus the structural facts that
+// explain it — how many edges the pruned build kept and what the
+// community detection cost.
 type PruneQuality struct {
 	// MinOverlap is the PruneMinOverlap the candidate ran with.
 	MinOverlap float64

@@ -14,7 +14,6 @@ import (
 	"repro"
 	"repro/internal/gen"
 	"repro/internal/metrics"
-	"repro/internal/shard"
 )
 
 // fixture is an engine, a server over it, and the temporally split
@@ -310,86 +309,6 @@ func TestConcurrentSoakBitIdentity(t *testing.T) {
 	// One POST /observe is one single-action engine batch.
 	if got := snap.Counters["engine/observe/batches"]; got != uint64(len(feed)) {
 		t.Errorf("engine saw %d observe batches, want %d", got, len(feed))
-	}
-}
-
-// TestRouterBackend serves the same contract over a sharded fleet:
-// writes land on owner shards through the batched path, reads are
-// cached with the same bit-identity guarantee, and cold users flagged
-// by the fan-out bypass the cache.
-func TestRouterBackend(t *testing.T) {
-	ds, err := gen.Generate(gen.DefaultConfig(200, 15))
-	if err != nil {
-		t.Fatal(err)
-	}
-	train, test, err := repro.SplitDataset(ds, 0.8)
-	if err != nil {
-		t.Fatal(err)
-	}
-	eopts := repro.DefaultEngineOptions()
-	eopts.Train = train
-	eopts.MaxAge = 1 << 40
-	rt, err := shard.New(ds, eopts, shard.Options{Shards: 4})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer rt.Close()
-	srv := New(ForRouter(rt), Options{})
-	defer srv.Close()
-	hs := httptest.NewServer(srv.Handler())
-	defer hs.Close()
-	client := hs.Client()
-
-	for _, a := range test[:300] {
-		body, _ := json.Marshal(map[string]any{"user": a.User, "tweet": a.Tweet, "time": a.Time})
-		resp, err := client.Post(hs.URL+"/observe", "application/json", bytes.NewReader(body))
-		if err != nil {
-			t.Fatal(err)
-		}
-		resp.Body.Close()
-		if resp.StatusCode != http.StatusNoContent {
-			t.Fatalf("observe status = %d", resp.StatusCode)
-		}
-	}
-	now := test[len(test)-1].Time + 1
-	colds, hits := 0, 0
-	for u := 0; u < ds.NumUsers(); u++ {
-		for pass := 0; pass < 2; pass++ {
-			resp, err := client.Get(fmt.Sprintf("%s/recommend?user=%d&k=10&now=%d", hs.URL, u, now))
-			if err != nil {
-				t.Fatal(err)
-			}
-			var got recommendResponse
-			if err := json.NewDecoder(resp.Body).Decode(&got); err != nil {
-				t.Fatal(err)
-			}
-			resp.Body.Close()
-			verdict := resp.Header.Get("X-Cache")
-			if got.Cold {
-				colds++
-				if verdict != "bypass" {
-					t.Fatalf("user %d cold but X-Cache = %q", u, verdict)
-				}
-			} else if pass == 1 && verdict == "hit" {
-				hits++
-			}
-			want := rt.Recommend(repro.UserID(u), 10, now)
-			if len(got.Recommendations) != len(want) {
-				t.Fatalf("user %d: served %d recs, router has %d", u, len(got.Recommendations), len(want))
-			}
-			for i, w := range want {
-				g := got.Recommendations[i]
-				if g.Tweet != w.Tweet || g.Score != w.Score {
-					t.Fatalf("user %d rank %d: served %+v, router %+v", u, i, g, w)
-				}
-			}
-		}
-	}
-	if hits == 0 {
-		t.Error("no cache hits over the router backend")
-	}
-	if colds == 0 {
-		t.Error("fixture exercises no cold fan-out through the server")
 	}
 }
 

@@ -8,12 +8,12 @@ import (
 )
 
 // shedder is the admission controller. It windows the backend's own
-// recommend-latency histograms — the same instruments the benchmarks
+// recommend-latency histogram — the same instrument the benchmarks
 // report, so the shedding signal and the published tail are one number
 // — and refuses new recommendation work (429 + Retry-After at the HTTP
 // layer) while the windowed p99 sits above the budget.
 //
-// The histograms are cumulative, so a window is the bucket-wise delta
+// The histogram is cumulative, so a window is the bucket-wise delta
 // between two snapshots; an all-time p99 would take minutes to notice
 // an overload and hours to forgive one. Windows are re-evaluated lazily
 // on the admission path (no ticker goroutine): the first request past
@@ -28,7 +28,7 @@ import (
 // the bounded-tail behaviour the overload test pins (p99 of ADMITTED
 // work stays near the budget instead of collapsing with the queue).
 type shedder struct {
-	hists      []*metrics.Histogram
+	hist       *metrics.Histogram
 	budget     time.Duration // p99 ceiling; 0 disables shedding
 	window     time.Duration
 	retryAfter time.Duration
@@ -36,7 +36,7 @@ type shedder struct {
 	now        func() time.Time
 
 	mu      sync.Mutex
-	prev    []metrics.HistogramSnapshot
+	prev    metrics.HistogramSnapshot
 	nextAt  time.Time
 	engaged bool
 
@@ -47,7 +47,7 @@ type shedder struct {
 	gP99      *metrics.Gauge   // server/shed/window_p99_ns
 }
 
-func newShedder(hists []*metrics.Histogram, budget, window, retryAfter time.Duration, now func() time.Time, reg *metrics.Registry) *shedder {
+func newShedder(hist *metrics.Histogram, budget, window, retryAfter time.Duration, now func() time.Time, reg *metrics.Registry) *shedder {
 	if window <= 0 {
 		window = 250 * time.Millisecond
 	}
@@ -58,13 +58,13 @@ func newShedder(hists []*metrics.Histogram, budget, window, retryAfter time.Dura
 		now = time.Now
 	}
 	s := &shedder{
-		hists:      hists,
+		hist:       hist,
 		budget:     budget,
 		window:     window,
 		retryAfter: retryAfter,
 		minSamples: 20,
 		now:        now,
-		prev:       snapshotAll(hists),
+		prev:       hist.Snapshot(),
 		mAdmitted:  reg.Counter("server/shed/admitted"),
 		mShed:      reg.Counter("server/shed/shed"),
 		mEngaged:   reg.Counter("server/shed/engagements"),
@@ -102,8 +102,8 @@ func (s *shedder) RetryAfter() time.Duration { return s.retryAfter }
 
 // evaluateLocked recomputes the verdict from the last window's delta.
 func (s *shedder) evaluateLocked() {
-	cur := snapshotAll(s.hists)
-	delta := deltaMerge(s.prev, cur)
+	cur := s.hist.Snapshot()
+	delta := windowDelta(s.prev, cur)
 	s.prev = cur
 	if delta.Count < s.minSamples {
 		// Too few admitted requests to estimate a tail: either the
@@ -126,45 +126,23 @@ func (s *shedder) evaluateLocked() {
 	s.engaged = over
 }
 
-func snapshotAll(hists []*metrics.Histogram) []metrics.HistogramSnapshot {
-	out := make([]metrics.HistogramSnapshot, len(hists))
-	for i, h := range hists {
-		out[i] = h.Snapshot()
-	}
-	return out
-}
-
-// deltaMerge subtracts prev from cur per histogram and per bucket, then
-// merges the deltas into one snapshot: the distribution of everything
-// observed during the window, across every engine. Bucket edges are
-// fixed (log2), so subtraction and merge are both keyed on Upper. Max
-// is cumulative and cannot be windowed; the merged Max is only used to
-// clamp Quantile, so the cumulative value is a safe (conservative)
-// stand-in.
-func deltaMerge(prev, cur []metrics.HistogramSnapshot) metrics.HistogramSnapshot {
-	var out metrics.HistogramSnapshot
-	byUpper := make(map[int64]uint64)
-	for i := range cur {
-		out.Count += cur[i].Count
-		out.Sum += cur[i].Sum
-		if cur[i].Max > out.Max {
-			out.Max = cur[i].Max
+// windowDelta subtracts prev from cur bucket by bucket: the
+// distribution of everything observed during the window. Both snapshots
+// list their non-empty buckets in ascending Upper order, and counts only
+// grow, so every prev bucket is also in cur. Max is cumulative and
+// cannot be windowed; it only clamps Quantile, so the cumulative value
+// is a safe (conservative) stand-in.
+func windowDelta(prev, cur metrics.HistogramSnapshot) metrics.HistogramSnapshot {
+	out := metrics.HistogramSnapshot{Count: cur.Count - prev.Count, Sum: cur.Sum - prev.Sum, Max: cur.Max}
+	j := 0
+	for _, b := range cur.Buckets {
+		n := b.Count
+		if j < len(prev.Buckets) && prev.Buckets[j].Upper == b.Upper {
+			n -= prev.Buckets[j].Count
+			j++
 		}
-		for _, b := range cur[i].Buckets {
-			byUpper[b.Upper] += b.Count
-		}
-		if i < len(prev) {
-			out.Count -= prev[i].Count
-			out.Sum -= prev[i].Sum
-			for _, b := range prev[i].Buckets {
-				byUpper[b.Upper] -= b.Count
-			}
-		}
-	}
-	for j := 0; j < metrics.NumBuckets(); j++ {
-		upper := metrics.BucketUpper(j)
-		if n := byUpper[upper]; n > 0 {
-			out.Buckets = append(out.Buckets, metrics.Bucket{Upper: upper, Count: n})
+		if n > 0 {
+			out.Buckets = append(out.Buckets, metrics.Bucket{Upper: b.Upper, Count: n})
 		}
 	}
 	return out

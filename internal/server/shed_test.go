@@ -1,6 +1,7 @@
 package server
 
 import (
+	"fmt"
 	"net/http"
 	"net/http/httptest"
 	"sync"
@@ -28,9 +29,7 @@ func (s *stubBackend) Similarity(u, v repro.UserID) float64                     
 func (s *stubBackend) PropagateScores(seeds []repro.UserID) map[repro.UserID]float64 { return nil }
 func (s *stubBackend) SetOnScoresChanged(fn func(users []repro.UserID))              {}
 func (s *stubBackend) Metrics() metrics.Snapshot                                     { return metrics.Snapshot{} }
-func (s *stubBackend) RecommendLatency() []*metrics.Histogram {
-	return []*metrics.Histogram{s.hist}
-}
+func (s *stubBackend) RecommendLatency() *metrics.Histogram                          { return s.hist }
 
 // fakeClock is a manually advanced clock for window control.
 type fakeClock struct {
@@ -168,24 +167,27 @@ func TestShedFewSamplesNoEngage(t *testing.T) {
 	}
 }
 
-// TestDeltaMerge pins the windowing arithmetic across multiple
-// histograms (the router case: one per shard).
+// TestDeltaMerge pins the windowing arithmetic: a window holds only
+// what the histogram recorded between its two snapshots.
 func TestDeltaMerge(t *testing.T) {
-	reg := metrics.NewRegistry()
-	h1, h2 := reg.Histogram("a"), reg.Histogram("b")
-	h1.Observe(100)
-	prev := snapshotAll([]*metrics.Histogram{h1, h2})
+	h := metrics.NewRegistry().Histogram("a")
+	h.Observe(100)
+	h.Observe(3000)
+	prev := h.Snapshot()
 	for i := 0; i < 10; i++ {
-		h1.Observe(1000)
-		h2.Observe(3000)
+		h.Observe(1000)
+		h.Observe(3000)
 	}
-	cur := snapshotAll([]*metrics.Histogram{h1, h2})
-	d := deltaMerge(prev, cur)
+	d := windowDelta(prev, h.Snapshot())
 	if d.Count != 20 {
-		t.Fatalf("window count = %d, want 20 (the pre-window sample must not leak in)", d.Count)
+		t.Fatalf("window count = %d, want 20 (the pre-window samples must not leak in)", d.Count)
 	}
 	if d.Sum != 10*1000+10*3000 {
 		t.Fatalf("window sum = %d", d.Sum)
+	}
+	want := []metrics.Bucket{{Upper: 1024, Count: 10}, {Upper: 4096, Count: 10}}
+	if fmt.Sprint(d.Buckets) != fmt.Sprint(want) {
+		t.Fatalf("window buckets = %v, want %v", d.Buckets, want)
 	}
 	if q := d.Quantile(0.99); q < 3000 || q > 4096 {
 		t.Fatalf("window p99 = %d, want within [3000, 4096]", q)

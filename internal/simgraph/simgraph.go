@@ -59,8 +59,7 @@ type Config struct {
 	// dropped by cluster overlap against Clusters before the kernel
 	// scores them. At PruneMinOverlap == 0 only zero-overlap candidates
 	// PROVABLY below Tau are dropped (similarity.SimUpperBound — exact,
-	// the build stays bit-identical; the certificate is suspended while
-	// topic blending is on, since the bound covers only Definition 3.1).
+	// the build stays bit-identical).
 	// A positive PruneMinOverlap switches to community-restricted
 	// exploration: the 2-hop BFS itself refuses to keep OR expand
 	// frontier nodes whose overlap with the source is below the
@@ -250,10 +249,9 @@ func appendEdgesFor(edges []wgraph.Edge, follow *graph.Graph, store *similarity.
 	// bit-identical. Filtering compacts sc.cands in place.
 	if cfg.ClusterPrune && cfg.Clusters != nil && !lossy {
 		in := len(cands)
-		exact := !store.TopicsEnabled() // the bound covers Definition 3.1 only
 		kept := cands[:0]
 		for _, w := range cands {
-			if cfg.Clusters.Overlap(u, w) == 0 && exact && store.SimUpperBound(u, w) < cfg.Tau {
+			if cfg.Clusters.Overlap(u, w) == 0 && store.SimUpperBound(u, w) < cfg.Tau {
 				continue
 			}
 			kept = append(kept, w)

@@ -128,7 +128,7 @@ func TestMaxOutDegreeCap(t *testing.T) {
 
 // The inverted-index kernel must produce a bit-identical graph to the
 // pairwise reference path on a realistic generated dataset, across
-// configs (caps on/off, topics on/off) and after streaming updates.
+// configs (caps on/off) and after streaming updates.
 func TestBuildKernelMatchesPairwise(t *testing.T) {
 	ds, err := gen.Generate(gen.DefaultConfig(500, 3))
 	if err != nil {

@@ -222,7 +222,6 @@ func (s *Store) SimBatchClustered(u ids.UserID, candidates []ids.UserID, labels 
 		}
 	}
 
-	topics := s.TopicsEnabled()
 	for i, w := range candidates {
 		if dupes && sc.slot[w] != int32(i) {
 			continue
@@ -231,9 +230,6 @@ func (s *Store) SimBatchClustered(u ids.UserID, candidates []ids.UserID, labels 
 		if inter := sc.inter[i]; inter > 0 {
 			union := len(pu) + len(s.profiles[w]) - int(inter)
 			sim = sc.num[i] / float64(union)
-		}
-		if topics {
-			sim = (1-s.topicAlpha)*sim + s.topicAlpha*s.topicSim(u, w)
 		}
 		out[i] = sim
 	}

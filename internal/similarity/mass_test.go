@@ -52,10 +52,10 @@ func TestSimUpperBound(t *testing.T) {
 	live, _ := streamWorld(50, 90, 500, 23)
 	for u := 0; u < live.NumUsers(); u++ {
 		for v := 0; v < live.NumUsers(); v++ {
-			sim := live.tweetSim(ids.UserID(u), ids.UserID(v))
+			sim := live.Sim(ids.UserID(u), ids.UserID(v))
 			ub := live.SimUpperBound(ids.UserID(u), ids.UserID(v))
 			if sim > ub {
-				t.Fatalf("tweetSim(%d,%d)=%v exceeds bound %v", u, v, sim, ub)
+				t.Fatalf("Sim(%d,%d)=%v exceeds bound %v", u, v, sim, ub)
 			}
 		}
 	}

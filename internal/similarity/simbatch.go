@@ -136,7 +136,6 @@ func (s *Store) SimBatch(u ids.UserID, candidates []ids.UserID, sc *BatchScratch
 		}
 	}
 
-	topics := s.TopicsEnabled()
 	for i, w := range candidates {
 		if dupes && sc.slot[w] != int32(i) {
 			continue // duplicate candidate: copied from its winning slot below
@@ -145,9 +144,6 @@ func (s *Store) SimBatch(u ids.UserID, candidates []ids.UserID, sc *BatchScratch
 		if inter := sc.inter[i]; inter > 0 {
 			union := len(pu) + len(s.profiles[w]) - int(inter)
 			sim = sc.num[i] / float64(union)
-		}
-		if topics {
-			sim = (1-s.topicAlpha)*sim + s.topicAlpha*s.topicSim(u, w)
 		}
 		out[i] = sim
 	}

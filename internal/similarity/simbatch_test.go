@@ -100,19 +100,6 @@ func TestSimBatchAfterObserve(t *testing.T) {
 	}
 }
 
-// Property: exactness holds with topic blending enabled.
-func TestSimBatchWithTopics(t *testing.T) {
-	s := randomStore(25, 30, 200, 7)
-	s.EnableTopics(func(t ids.TweetID) int16 { return int16(t % 5) }, 0.4)
-	checkBatchMatchesSim(t, s, allUsers(25))
-	// Interleave observes with topics on.
-	rng := xrand.New(11)
-	for i := 0; i < 40; i++ {
-		s.Observe(ids.UserID(rng.Intn(25)), ids.TweetID(rng.Intn(30)))
-	}
-	checkBatchMatchesSim(t, s, allUsers(25))
-}
-
 func TestSimBatchEmptyInputs(t *testing.T) {
 	s := randomStore(10, 10, 0, 3) // nobody retweeted anything
 	var sc BatchScratch

@@ -79,11 +79,6 @@ type Store struct {
 	mPruneIn      *metrics.Counter
 	mPruneDropped *metrics.Counter
 	mPruneSaved   *metrics.Counter
-
-	// Topic blending (§7 future work); see EnableTopics in topic.go.
-	topicOf    func(ids.TweetID) int16
-	topicAlpha float64
-	topicVecs  [][]topicCount
 }
 
 // Instrument wires the store's kernel-path counters: batch counts
@@ -278,9 +273,6 @@ func (s *Store) Observe(u ids.UserID, t ids.TweetID) {
 	s.postings[t] = pl
 	s.mass[u] += float64(s.weights[t]) // t joined u's profile
 	s.markRetweetersDirty(t)           // includes u, just inserted
-	if s.topicOf != nil {
-		s.bumpTopic(u, s.topicOf(t))
-	}
 }
 
 // markRetweetersDirty marks every current retweeter of t (u included,
@@ -318,9 +310,9 @@ func (s *Store) DrainDirty(buf []ids.UserID) []ids.UserID {
 }
 
 // Clone returns a read-only snapshot of the store: profiles, popularity,
-// cached weights, the inverted index, and topic vectors are deep-copied
-// into freshly allocated (flattened) storage, so subsequent Observe calls
-// on the original cannot be seen through the clone. The dirty-set
+// cached weights, and the inverted index are deep-copied into freshly
+// allocated (flattened) storage, so subsequent Observe calls on the
+// original cannot be seen through the clone. The dirty-set
 // bookkeeping is NOT carried over — a clone exists to feed a graph build,
 // which receives the drained dirty list separately. The kernel-path
 // counters are shared (they are atomic), so builds against the clone
@@ -330,7 +322,7 @@ func (s *Store) DrainDirty(buf []ids.UserID) []ids.UserID {
 // retweet), which is what lets the engine run the incremental build
 // outside its lock: writers stall for the copy, not the build.
 func (s *Store) Clone() *Store {
-	c := &Store{
+	return &Store{
 		profiles:      cloneNested(s.profiles),
 		pop:           append([]int32(nil), s.pop...),
 		weights:       append([]float32(nil), s.weights...),
@@ -341,13 +333,7 @@ func (s *Store) Clone() *Store {
 		mPruneIn:      s.mPruneIn,
 		mPruneDropped: s.mPruneDropped,
 		mPruneSaved:   s.mPruneSaved,
-		topicOf:       s.topicOf,
-		topicAlpha:    s.topicAlpha,
 	}
-	if s.topicVecs != nil {
-		c.topicVecs = cloneNested(s.topicVecs)
-	}
-	return c
 }
 
 // cloneNested deep-copies a slice of slices into one flat backing array
@@ -385,17 +371,15 @@ func (s *Store) ProfileMass(u ids.UserID) float64 { return s.mass[u] }
 // bound in floating point, which the provable prune drop relies on.
 const massSlack = 1 + 1e-9
 
-// SimUpperBound returns a cheap, provable upper bound on the pure
-// Definition 3.1 similarity tweetSim(u, w):
+// SimUpperBound returns a cheap, provable upper bound on the
+// Definition 3.1 similarity Sim(u, w):
 //
 //	sim(u,w) = Σ_{t ∈ Lu∩Lw} wt(t) / |Lu ∪ Lw|
 //	         ≤ min(M(u), M(w)) / max(|Lu|, |Lw|)
 //
 // because the intersection sum is at most either profile's total mass
-// and the union is at least the larger profile. The bound does NOT
-// cover the topic-blended Sim (EnableTopics adds a second term);
-// callers using it as a pruning certificate must check TopicsEnabled.
-// O(1): both masses are maintained incrementally.
+// and the union is at least the larger profile. O(1): both masses are
+// maintained incrementally.
 func (s *Store) SimUpperBound(u, w ids.UserID) float64 {
 	lu, lw := len(s.profiles[u]), len(s.profiles[w])
 	if lu == 0 || lw == 0 {
@@ -424,18 +408,8 @@ func (s *Store) Popularity(t ids.TweetID) int32 {
 func (s *Store) NumUsers() int { return len(s.profiles) }
 
 // Sim computes sim(u,v) per Definition 3.1: symmetric, in [0,1], zero
-// when the profiles are disjoint or either is empty. With topics enabled
-// (EnableTopics) the result blends in the topic-engagement similarity.
+// when the profiles are disjoint or either is empty.
 func (s *Store) Sim(u, v ids.UserID) float64 {
-	base := s.tweetSim(u, v)
-	if !s.TopicsEnabled() {
-		return base
-	}
-	return (1-s.topicAlpha)*base + s.topicAlpha*s.topicSim(u, v)
-}
-
-// tweetSim is the pure Definition 3.1 measure.
-func (s *Store) tweetSim(u, v ids.UserID) float64 {
 	pu, pv := s.profiles[u], s.profiles[v]
 	if len(pu) == 0 || len(pv) == 0 {
 		return 0

@@ -352,37 +352,6 @@ func TestEngineTrackSubset(t *testing.T) {
 	}
 }
 
-func TestEngineTopicSimilarity(t *testing.T) {
-	ds := testDataset(t)
-	base, err := NewEngine(ds, DefaultEngineOptions())
-	if err != nil {
-		t.Fatal(err)
-	}
-	opts := DefaultEngineOptions()
-	opts.TopicAlpha = 0.4
-	topical, err := NewEngine(ds, opts)
-	if err != nil {
-		t.Fatal(err)
-	}
-	// Topic blending can only add similarity mass: the similarity graph
-	// should not shrink, and some pair must gain similarity.
-	if topical.GraphCharacteristics(0).Edges < base.GraphCharacteristics(0).Edges {
-		t.Error("topic blending shrank the similarity graph")
-	}
-	gained := false
-	for u := UserID(0); int(u) < ds.NumUsers() && !gained; u++ {
-		for v := u + 1; int(v) < ds.NumUsers() && int(v) < int(u)+50; v++ {
-			if topical.Similarity(u, v) > base.Similarity(u, v) {
-				gained = true
-				break
-			}
-		}
-	}
-	if !gained {
-		t.Error("no pair gained similarity from topic blending")
-	}
-}
-
 func TestEngineColdStartFallback(t *testing.T) {
 	ds := testDataset(t)
 	train, test, err := SplitDataset(ds, 0.9)
