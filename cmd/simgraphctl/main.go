@@ -173,9 +173,9 @@ func runPropagation(ds *dataset.Dataset, t ids.TweetID, tau float64) {
 		s float64
 	}
 	var top []scored
-	for u, p := range st.P {
-		if _, isSeed := st.Seeds[u]; !isSeed && p > propagation.MinScore {
-			top = append(top, scored{u, p})
+	for i := 0; i < st.Len(); i++ {
+		if p := st.Score(i); !st.IsSeed(i) && p > propagation.MinScore {
+			top = append(top, scored{st.User(i), p})
 		}
 	}
 	fmt.Printf("tweet %d: %d sharers, propagation reached %d users in %d rounds\n",

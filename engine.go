@@ -64,9 +64,9 @@ type EngineOptions struct {
 	// MaxAge is the recommendation freshness horizon (paper: 72 h).
 	MaxAge Timestamp
 	// TrackUsers limits recommendation state to these users; nil tracks
-	// everyone (costs one candidate map per user).
+	// everyone (costs one posting list per user).
 	TrackUsers []UserID
-	// ColdStartFallback serves users with no pool candidates of their own
+	// ColdStartFallback serves users with no candidates of their own
 	// by aggregating their followees' recommendations — the GraphJet-style
 	// neighbourhood workaround the paper sketches in §4.1. With
 	// ClusterPrune enabled the aggregation is community-aware: each
@@ -128,8 +128,8 @@ func DefaultEngineOptions() EngineOptions {
 // RecommendWithColdStart, RecommendDiverse, Similarity,
 // PropagateScores, GraphCharacteristics, DetectBubbles, ObservedActions —
 // may be called from any number of goroutines simultaneously; reads scale
-// with GOMAXPROCS because the candidate pools are lock-split per user and
-// the similarity graph is immutable between refreshes. Observe and
+// with GOMAXPROCS because the recommender ranks under a shared read lock
+// and the similarity graph is immutable between refreshes. Observe and
 // ObserveBatch are writers: they take the exclusive lock, so a streamed
 // retweet briefly quiesces readers but can safely interleave with them.
 // RefreshGraphStats builds the new graph under the read lock and takes
@@ -147,7 +147,7 @@ type Engine struct {
 	rec   *simgraph.Recommender
 	ctx   *recsys.Context
 	// observed accumulates the streamed actions so RefreshGraphStats can
-	// rebuild pools; RefreshGraphStats compacts it to the suffix still
+	// rebuild candidates; RefreshGraphStats compacts it to the suffix still
 	// within the freshness horizon (see the replay bound there).
 	observed []Action
 	// observedNewest is the largest action timestamp streamed so far; it
@@ -397,7 +397,7 @@ func (e *Engine) detectClusters(g *wgraph.Graph) {
 
 // Observe streams one retweet into the engine: it updates the user's
 // profile, re-propagates the tweet's share probabilities over the
-// similarity graph, and refreshes candidate pools. It is a one-action
+// similarity graph, and updates the candidate lists. It is a one-action
 // ObserveBatch, so it shares that method's write path: readers are
 // excluded for the propagation but not for the WAL durability wait,
 // which runs after the lock is released, so with WALSyncAlways a slow
@@ -426,7 +426,7 @@ func (e *Engine) Recommend(u UserID, k int, now Timestamp) []Recommendation {
 // rank first — and, when community embeddings exist
 // (EngineOptions.ClusterPrune), weighting each followee's contribution
 // by 1 + its cluster overlap with the cold user, so same-community
-// followees dominate the fallback. The followee pools filter the
+// followees dominate the fallback. The followee lists filter the
 // followees' own shares, not the cold user's, so the aggregate is
 // additionally filtered against the user's observed profile and
 // authorship — a cold-start user must never be served a tweet they
@@ -492,10 +492,10 @@ func (e *Engine) PropagateScores(seeds []UserID) map[UserID]float64 {
 	defer e.mu.RUnlock()
 	st := propagation.NewTweetState()
 	propagation.NewIncremental(e.rec.Graph(), propagation.DefaultConfig()).AddSeeds(st, seeds, len(seeds))
-	out := make(map[UserID]float64, len(st.P))
-	for u, p := range st.P {
-		if _, isSeed := st.Seeds[u]; !isSeed && p > propagation.MinScore {
-			out[u] = p
+	out := make(map[UserID]float64, st.Len())
+	for i := 0; i < st.Len(); i++ {
+		if p := st.Score(i); !st.IsSeed(i) && p > propagation.MinScore {
+			out[st.User(i)] = p
 		}
 	}
 	return out
@@ -618,7 +618,7 @@ type RefreshStats struct {
 
 // RefreshGraphStats rebuilds or repairs the similarity graph with one of the
 // paper's §6.3 strategies (or the Incremental strategy), folding in every
-// action observed since construction. The recommender keeps its pooled
+// action observed since construction. The recommender keeps its
 // candidates. Readers observe either the old or the new graph, never a
 // half-built one. It returns the refresh's cost split (RefreshStats).
 //
@@ -633,7 +633,7 @@ type RefreshStats struct {
 // of observed actions likewise runs with NO engine lock against a
 // snapshot of the log, and only the delta replay plus the recommender
 // swap holds the exclusive lock. Retweets observed during any unlocked
-// stretch are folded into the new recommender's pools by the delta
+// stretch are folded into the new recommender's candidates by the delta
 // replay and re-marked dirty in the live store; they appear as graph
 // edges on the next refresh, exactly as actions streamed after a
 // fully-locked rebuild would have.
@@ -643,7 +643,7 @@ type RefreshStats struct {
 // suffix. Older actions cannot influence the new recommender: their
 // tweets can neither create propagation state (Recommender.Observe
 // stale-drops them and resolveLocked refuses expired state) nor surface
-// as pool candidates (TopK evicts past the horizon), and since every
+// as candidates (reads skip tweets past the horizon), and since every
 // retweet postdates its tweet's publication, dropping by tweet age also
 // keeps every already-shared mark that could still matter. This bounds
 // the total replay by the live-window size — and because the bulk of it
@@ -720,7 +720,7 @@ func (e *Engine) RefreshGraphStats(strategy UpdateStrategy) RefreshStats {
 	st.EdgesAdded, st.EdgesRemoved, st.EdgesReweighted = d.EdgesAdded, d.EdgesRemoved, d.EdgesReweighted
 
 	// Phase 2 — no engine lock: build a fresh recommender on the new
-	// graph and replay the snapshot's live window into its private pools.
+	// graph and replay the snapshot's live window into its private state.
 	rec := simgraph.NewRecommender(e.recommenderConfig())
 	rec.InitWithGraph(e.ctx, g)
 	cutoff := snapNewest - e.opts.MaxAge
@@ -751,7 +751,7 @@ func (e *Engine) RefreshGraphStats(strategy UpdateStrategy) RefreshStats {
 	e.mu.Unlock()
 
 	// The swap may have changed any user's servable list (new graph, new
-	// pools): nil means full invalidation. Fired strictly after the
+	// scores): nil means full invalidation. Fired strictly after the
 	// install, so a cache fill racing the refresh is always either
 	// computed on the new recommender or invalidated here.
 	e.fireScoresChanged(nil)

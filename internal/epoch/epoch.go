@@ -69,3 +69,33 @@ func (v *Vec) Set(u ids.UserID, x float64) bool {
 	v.val[u] = x
 	return first
 }
+
+// Index is an epoch-stamped dense map from user to a non-negative int32
+// (the propagation kernel records each user's slot in the sparse tweet
+// state it scatters); users not set this epoch read as absent.
+type Index struct {
+	marks Marks
+	val   []int32
+}
+
+// Reset starts a new epoch over at least n slots.
+func (x *Index) Reset(n int) {
+	x.marks.Reset(n)
+	if n > len(x.val) {
+		x.val = append(x.val, make([]int32, n-len(x.val))...)
+	}
+}
+
+// Get returns u's value and whether it was set this epoch.
+func (x *Index) Get(u ids.UserID) (int32, bool) {
+	if x.marks.Has(u) {
+		return x.val[u], true
+	}
+	return 0, false
+}
+
+// Set writes i at u.
+func (x *Index) Set(u ids.UserID, i int32) {
+	x.marks.Add(u)
+	x.val[u] = i
+}

@@ -71,3 +71,20 @@ func TestVecReset(t *testing.T) {
 		t.Fatalf("Get = %v, want 0.75", v.Get(1))
 	}
 }
+
+// TestIndexReset: an Index reads absent after Reset, and growing it keeps
+// the new slots absent.
+func TestIndexReset(t *testing.T) {
+	var x Index
+	x.Reset(3)
+	x.Set(2, 7)
+	if i, ok := x.Get(2); !ok || i != 7 {
+		t.Fatalf("Get = %d, %v; want 7, true", i, ok)
+	}
+	x.Reset(6)
+	for u := ids.UserID(0); u < 6; u++ {
+		if _, ok := x.Get(u); ok {
+			t.Fatalf("slot of %d survived Reset", u)
+		}
+	}
+}

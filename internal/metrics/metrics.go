@@ -153,9 +153,9 @@ func bucketIndex(v int64) int {
 	return i
 }
 
-// BucketUpper returns the exclusive upper edge of bucket i, as used by
+// bucketUpper returns the exclusive upper edge of bucket i, as used by
 // Observe; the last bucket reports math.MaxInt64.
-func BucketUpper(i int) int64 {
+func bucketUpper(i int) int64 {
 	if i <= 0 {
 		return 0 // bucket 0: v ≤ 0
 	}
@@ -164,9 +164,6 @@ func BucketUpper(i int) int64 {
 	}
 	return int64(1) << uint(i)
 }
-
-// NumBuckets returns the fixed bucket count.
-func NumBuckets() int { return histBuckets }
 
 // Observe records one value. Lock-free and allocation-free.
 func (h *Histogram) Observe(v int64) {
@@ -222,7 +219,7 @@ func (h *Histogram) Snapshot() HistogramSnapshot {
 	s.Max = h.max.Load()
 	for i := range h.buckets {
 		if n := h.buckets[i].Load(); n > 0 {
-			s.Buckets = append(s.Buckets, Bucket{Upper: BucketUpper(i), Count: n})
+			s.Buckets = append(s.Buckets, Bucket{Upper: bucketUpper(i), Count: n})
 		}
 	}
 	return s

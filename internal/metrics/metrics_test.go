@@ -258,14 +258,14 @@ func TestSnapshotRendering(t *testing.T) {
 
 func TestBucketUpperMonotone(t *testing.T) {
 	prev := int64(-1)
-	for i := 0; i < NumBuckets(); i++ {
-		u := BucketUpper(i)
+	for i := 0; i < histBuckets; i++ {
+		u := bucketUpper(i)
 		if u <= prev && u != math.MaxInt64 {
 			t.Fatalf("bucket %d upper %d not increasing (prev %d)", i, u, prev)
 		}
 		prev = u
 	}
-	if BucketUpper(NumBuckets()-1) != math.MaxInt64 {
+	if bucketUpper(histBuckets-1) != math.MaxInt64 {
 		t.Fatal("last bucket must be unbounded")
 	}
 }

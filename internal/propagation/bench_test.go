@@ -33,13 +33,13 @@ func benchSeeds(n, count int, seed uint64) []ids.UserID {
 // retires one tweet state and grows it seed by seed, the pattern Observe
 // drives. The reference pays one map probe per visited edge; the kernel
 // scatters once and probes arrays.
-func benchAddSeeds(b *testing.B, add func(st *TweetState, seeds []ids.UserID, pop int)) {
+func benchAddSeeds[S any](b *testing.B, newState func() S, add func(st S, seeds []ids.UserID, pop int)) {
 	b.Helper()
 	seeds := benchSeeds(benchNodes, 16, 3)
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		st := NewTweetState()
+		st := newState()
 		for j, s := range seeds {
 			add(st, []ids.UserID{s}, j+1)
 		}
@@ -49,13 +49,13 @@ func benchAddSeeds(b *testing.B, add func(st *TweetState, seeds []ids.UserID, po
 func BenchmarkAddSeedsKernel(b *testing.B) {
 	g := randomSimGraph(benchNodes, benchDeg, 1)
 	inc := NewIncremental(g, Config{Threshold: StaticThreshold(1e-6), MaxIterations: 200})
-	benchAddSeeds(b, inc.AddSeeds)
+	benchAddSeeds(b, NewTweetState, inc.AddSeeds)
 }
 
 func BenchmarkAddSeedsRef(b *testing.B) {
 	g := randomSimGraph(benchNodes, benchDeg, 1)
 	inc := NewRefIncremental(g, Config{Threshold: StaticThreshold(1e-6), MaxIterations: 200})
-	benchAddSeeds(b, inc.AddSeeds)
+	benchAddSeeds(b, NewRefState, inc.AddSeeds)
 }
 
 // Ablations (DESIGN.md §5). The solver benchmarks reach the same fixpoint

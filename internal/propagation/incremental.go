@@ -9,33 +9,61 @@ import (
 )
 
 // TweetState is the persistent, sparse propagation state of one tweet:
-// the current share probabilities of every user the propagation has
-// touched, plus the pinned seed set. It enables incremental propagation —
-// when a new sharer arrives, only the part of the similarity graph whose
-// scores actually change is recomputed, instead of re-running the fixpoint
-// from the full seed set.
+// the current share probability of every user the propagation has
+// touched, and which of them are pinned seeds. It enables incremental
+// propagation — when a new sharer arrives, only the part of the
+// similarity graph whose scores actually change is recomputed, instead of
+// re-running the fixpoint from the full seed set.
+//
+// The state is flat: slot i holds user User(i) with score Score(i), and
+// IsSeed(i) says whether that user is pinned. Slots are appended in
+// first-touch order and never move, so a slot names one user's score for
+// the state's lifetime (simgraph's per-user posting lists hold slots).
 //
 // Correctness: the propagation operator is monotone in the seed set (all
 // weights are non-negative), so re-propagating from the newly changed
 // nodes with the previous scores as the starting point converges to the
 // same fixpoint Algorithm 1 reaches from scratch; the package tests
-// verify the equivalence.
+// verify the equivalence. The same monotonicity means no slot's score
+// ever decreases (TestScoresNeverDecrease).
 //
 // TweetState has no lock of its own: its owner serializes every AddSeeds
-// and every read of P/Changed that may overlap one (simgraph.Recommender
-// holds its mutex across both).
+// against every read that may overlap one (simgraph.Recommender holds its
+// write lock across AddSeeds and its read lock across reads).
 type TweetState struct {
-	P       map[ids.UserID]float64
-	Seeds   map[ids.UserID]struct{}
-	Changed []ids.UserID // users whose score changed in the last call
+	users []ids.UserID
+	p     []float64
+	seed  []bool
+	// Changed lists the users whose score changed in the last AddSeeds.
+	Changed []ids.UserID
 }
 
 // NewTweetState returns empty per-tweet propagation state.
-func NewTweetState() *TweetState {
-	return &TweetState{
-		P:     make(map[ids.UserID]float64),
-		Seeds: make(map[ids.UserID]struct{}),
-	}
+func NewTweetState() *TweetState { return &TweetState{} }
+
+// Len returns the number of slots: every user the tweet ever touched.
+func (st *TweetState) Len() int { return len(st.users) }
+
+// User returns the user in slot i.
+func (st *TweetState) User(i int) ids.UserID { return st.users[i] }
+
+// Score returns the share probability in slot i (1 for a seed).
+func (st *TweetState) Score(i int) float64 { return st.p[i] }
+
+// IsSeed reports whether slot i's user is a pinned seed.
+func (st *TweetState) IsSeed(i int) bool { return st.seed[i] }
+
+// Release drops the state's vectors; the state reads as empty afterwards.
+// Owners call it when the tweet leaves the freshness window, so memory
+// follows the live window even if a stale pointer survives.
+func (st *TweetState) Release() { *st = TweetState{} }
+
+// push appends a slot for u and returns its index.
+func (st *TweetState) push(u ids.UserID, p float64, seed bool) int32 {
+	st.users = append(st.users, u)
+	st.p = append(st.p, p)
+	st.seed = append(st.seed, seed)
+	return int32(len(st.users) - 1)
 }
 
 // Incremental runs incremental propagations over one similarity graph.
@@ -43,17 +71,18 @@ func NewTweetState() *TweetState {
 // use: one writer owns it (simgraph.Recommender keeps one per graph).
 //
 // The hot loop runs entirely on epoch-stamped dense scratch (package epoch):
-// AddSeeds scatters the sparse TweetState into dense arrays once, so the
-// per-edge influencer probe inside recompute is an array load instead of
-// a map lookup, and changed users are gathered back into the state at the
-// end. RefIncremental freezes the previous map-probing implementation as
+// AddSeeds scatters the flat TweetState into dense arrays once, so the
+// per-edge influencer probe inside recompute is an array load, and the
+// changed users' final scores are gathered back into their slots at the
+// end. RefIncremental freezes the earlier map-probing implementation as
 // the differential baseline.
 type Incremental struct {
 	cfg Config
 	g   wgraph.View
 
-	p       epoch.Vec   // dense view of st.P for the current call
-	seed    epoch.Marks // dense view of st.Seeds
+	p       epoch.Vec   // dense view of the state's scores for the current call
+	slot    epoch.Index // each in-state user's slot in the state
+	seed    epoch.Marks // dense view of the seed flags
 	inQ     epoch.Marks // queued-for-recompute marker
 	changed epoch.Marks // dedups st.Changed without a per-call map
 	queue   []ids.UserID
@@ -80,26 +109,29 @@ func NewIncremental(g wgraph.View, cfg Config) *Incremental {
 // change outward. popularity is the tweet's current retweet count (drives
 // the dynamic threshold). st.Changed lists every non-seed user whose
 // score changed, in discovery order; it is valid until the next AddSeeds
-// into st.
+// into st. Users new to st are appended after its existing slots, seeds
+// first, so the slots from the old Len() on are exactly the users this
+// call touched for the first time.
 func (inc *Incremental) AddSeeds(st *TweetState, seeds []ids.UserID, popularity int) {
 	cutoff := inc.cfg.Threshold.Cutoff(popularity)
 	st.Changed = st.Changed[:0]
 	n := inc.g.NumNodes()
 	inc.p.Reset(n)
+	inc.slot.Reset(n)
 	inc.seed.Reset(n)
 	inc.inQ.Reset(n)
 	inc.changed.Reset(n)
 	inc.queue = inc.queue[:0]
 
-	// Scatter the sparse state into the dense scratch — O(|st.P|), paid
-	// once per call instead of one map probe per visited edge.
-	for u, p := range st.P {
-		if int(u) < n {
-			inc.p.Set(u, p)
+	// Scatter the flat state into the dense scratch: one slice pass,
+	// paid once per call instead of one probe per visited edge.
+	for i, u := range st.users {
+		if int(u) >= n {
+			continue
 		}
-	}
-	for u := range st.Seeds {
-		if int(u) < n {
+		inc.p.Set(u, st.p[i])
+		inc.slot.Set(u, int32(i))
+		if st.seed[i] {
 			inc.seed.Add(u)
 		}
 	}
@@ -112,9 +144,12 @@ func (inc *Incremental) AddSeeds(st *TweetState, seeds []ids.UserID, popularity 
 			continue // already a seed (or duplicated within this batch)
 		}
 		inc.seed.Add(s)
-		st.Seeds[s] = struct{}{}
-		st.P[s] = 1
 		inc.p.Set(s, 1)
+		if i, ok := inc.slot.Get(s); ok {
+			st.p[i], st.seed[i] = 1, true
+		} else {
+			inc.slot.Set(s, st.push(s, 1, true))
+		}
 		inc.enqueueInfluenced(s)
 	}
 
@@ -164,10 +199,14 @@ func (inc *Incremental) AddSeeds(st *TweetState, seeds []ids.UserID, popularity 
 	inc.lastMaxFrontier = maxFrontier
 	inc.lastBudgetHit = head < len(inc.queue)
 
-	// Gather: fold the final dense scores of changed users back into the
-	// sparse state — one map write per changed user, not per recompute.
+	// Gather: write the final dense scores of changed users into their
+	// slots; users the state never held are appended as the new tail.
 	for _, u := range st.Changed {
-		st.P[u] = inc.p.Get(u)
+		if i, ok := inc.slot.Get(u); ok {
+			st.p[i] = inc.p.Get(u)
+		} else {
+			st.push(u, inc.p.Get(u), false)
+		}
 	}
 }
 

@@ -29,7 +29,7 @@ func TestIncrementalMatchesRefExact(t *testing.T) {
 		cfg := Config{Threshold: StaticThreshold(1e-10), MaxIterations: 300}
 		inc := NewIncremental(g, cfg)
 		ref := NewRefIncremental(g, cfg)
-		st, rst := NewTweetState(), NewTweetState()
+		st, rst := NewTweetState(), NewRefState()
 		rng := xrand.New(seed ^ 7)
 		for call := 0; call < 6; call++ {
 			batch := make([]ids.UserID, 1+rng.Intn(3))
@@ -38,11 +38,12 @@ func TestIncrementalMatchesRefExact(t *testing.T) {
 			}
 			inc.AddSeeds(st, batch, call+1)
 			ref.AddSeeds(rst, batch, call+1)
-			if len(st.P) != len(rst.P) || len(st.Seeds) != len(rst.Seeds) {
-				return false
+			sp, sseeds := stateMaps(st)
+			if st.Len() != len(rst.P) || len(sp) != len(rst.P) || len(sseeds) != len(rst.Seeds) {
+				return false // st.Len() > len(sp) would mean a user holds two slots
 			}
 			for u, p := range rst.P {
-				if st.P[u] != p {
+				if sp[u] != p {
 					return false
 				}
 			}
@@ -89,12 +90,14 @@ func TestIncrementalScratchReuseAcrossTweets(t *testing.T) {
 		NewIncremental(g, cfg).AddSeeds(isolated[tw], []ids.UserID{s}, call+1)
 	}
 	for tw := range shared {
-		if len(shared[tw].P) != len(isolated[tw].P) {
-			t.Fatalf("tweet %d: %d scored users vs %d isolated", tw, len(shared[tw].P), len(isolated[tw].P))
+		sp, _ := stateMaps(shared[tw])
+		ip, _ := stateMaps(isolated[tw])
+		if len(sp) != len(ip) {
+			t.Fatalf("tweet %d: %d scored users vs %d isolated", tw, len(sp), len(ip))
 		}
-		for u, p := range isolated[tw].P {
-			if shared[tw].P[u] != p {
-				t.Fatalf("tweet %d user %d: %v vs isolated %v", tw, u, shared[tw].P[u], p)
+		for u, p := range ip {
+			if sp[u] != p {
+				t.Fatalf("tweet %d user %d: %v vs isolated %v", tw, u, sp[u], p)
 			}
 		}
 	}
@@ -167,7 +170,7 @@ func FuzzIncremental(f *testing.F) {
 		cfg := Config{Threshold: StaticThreshold(1e-12), MaxIterations: 500}
 		inc := NewIncremental(g, cfg)
 		ref := NewRefIncremental(g, cfg)
-		st, rst := NewTweetState(), NewTweetState()
+		st, rst := NewTweetState(), NewRefState()
 		var all []ids.UserID
 		for i, s := range []uint8{a, b, c} {
 			u := ids.UserID(int(s) % (n + 5))
@@ -177,12 +180,13 @@ func FuzzIncremental(f *testing.F) {
 				all = append(all, u)
 			}
 		}
-		if len(st.P) != len(rst.P) {
-			t.Fatalf("kernel scored %d users, reference %d", len(st.P), len(rst.P))
+		sp, sseeds := stateMaps(st)
+		if len(sp) != len(rst.P) {
+			t.Fatalf("kernel scored %d users, reference %d", len(sp), len(rst.P))
 		}
 		for u, p := range rst.P {
-			if st.P[u] != p {
-				t.Fatalf("user %d: kernel %v, reference %v", u, st.P[u], p)
+			if sp[u] != p {
+				t.Fatalf("user %d: kernel %v, reference %v", u, sp[u], p)
 			}
 		}
 		if len(all) == 0 {
@@ -190,11 +194,11 @@ func FuzzIncremental(f *testing.F) {
 		}
 		dense, _ := densePropagate(g, all, 1e-12, 1000)
 		for u := 0; u < n; u++ {
-			if _, isSeed := st.Seeds[ids.UserID(u)]; isSeed {
+			if _, isSeed := sseeds[ids.UserID(u)]; isSeed {
 				continue
 			}
-			if math.Abs(dense[u]-st.P[ids.UserID(u)]) > 1e-6 {
-				t.Fatalf("node %d: incremental %v vs dense %v", u, st.P[ids.UserID(u)], dense[u])
+			if math.Abs(dense[u]-sp[ids.UserID(u)]) > 1e-6 {
+				t.Fatalf("node %d: incremental %v vs dense %v", u, sp[ids.UserID(u)], dense[u])
 			}
 		}
 	})
@@ -216,4 +220,46 @@ func TestLinearSystemIgnoresOutOfRangeSeeds(t *testing.T) {
 		t.Error("in-range seed not pinned")
 	}
 	var _ = wgraph.View(g)
+}
+
+// TestScoresNeverDecrease pins the invariant simgraph's pull-based reads
+// rest on: across successive AddSeeds calls into one state, no slot moves
+// and no score falls, at the static and at the dynamic threshold. Every
+// recompute sums the same products in the same order over inputs that
+// only grew since the last one (seeds only join, and each input is
+// itself such a recompute), and IEEE rounding is monotone, so this holds
+// bit for bit, not just up to a tolerance. A pooled max over every score
+// a user was ever given is therefore always the state's live score.
+func TestScoresNeverDecrease(t *testing.T) {
+	for _, th := range []Threshold{StaticThreshold(1e-6), NewDynamicThreshold()} {
+		for seed := uint64(0); seed < 60; seed++ {
+			n := 20 + int(seed%80)
+			g := randomSimGraph(n, 2+int(seed%5), seed)
+			inc := NewIncremental(g, Config{Threshold: th, MaxIterations: 200})
+			st := NewTweetState()
+			rng := xrand.New(seed ^ 0x5eed)
+			var users []ids.UserID
+			var prev []float64
+			for call := 0; call < 12; call++ {
+				batch := make([]ids.UserID, 1+rng.Intn(3))
+				for i := range batch {
+					batch[i] = ids.UserID(rng.Intn(n))
+				}
+				inc.AddSeeds(st, batch, call+1)
+				for i := range prev {
+					if st.User(i) != users[i] {
+						t.Fatalf("%T graph %d call %d: slot %d moved from user %d to %d", th, seed, call, i, users[i], st.User(i))
+					}
+					if st.Score(i) < prev[i] {
+						t.Fatalf("%T graph %d call %d: user %d fell from %v to %v", th, seed, call, users[i], prev[i], st.Score(i))
+					}
+				}
+				users, prev = users[:0], prev[:0]
+				for i := 0; i < st.Len(); i++ {
+					users = append(users, st.User(i))
+					prev = append(prev, st.Score(i))
+				}
+			}
+		}
+	}
 }

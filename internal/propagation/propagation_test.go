@@ -40,7 +40,7 @@ func TestPaperWorkedExample(t *testing.T) {
 	st := NewTweetState()
 	NewIncremental(g, Config{Threshold: StaticThreshold(0), MaxIterations: 100}).AddSeeds(st, []ids.UserID{nodeX}, 1)
 
-	got := st.P
+	got, _ := stateMaps(st)
 	if math.Abs(got[nodeW]-0.25) > 1e-9 {
 		t.Errorf("p(w) = %v, want 0.25 (Example 4.3)", got[nodeW])
 	}
@@ -85,15 +85,29 @@ func randomSimGraph(n, avgDeg int, seed uint64) *wgraph.Graph {
 	return b.Build()
 }
 
+// stateMaps returns st's slots as a user → score map and a seed set, the
+// shape RefState holds, so tests can compare the two states exactly.
+func stateMaps(st *TweetState) (map[ids.UserID]float64, map[ids.UserID]struct{}) {
+	p := make(map[ids.UserID]float64, st.Len())
+	seeds := make(map[ids.UserID]struct{})
+	for i := 0; i < st.Len(); i++ {
+		p[st.User(i)] = st.Score(i)
+		if st.IsSeed(i) {
+			seeds[st.User(i)] = struct{}{}
+		}
+	}
+	return p, seeds
+}
+
 // oneShot propagates seeds into a fresh TweetState on inc and returns
 // the non-seed scores — the one-shot shape Engine.PropagateScores serves.
 func oneShot(inc *Incremental, seeds []ids.UserID) map[ids.UserID]float64 {
 	st := NewTweetState()
 	inc.AddSeeds(st, seeds, len(seeds))
-	out := make(map[ids.UserID]float64, len(st.P))
-	for u, p := range st.P {
-		if _, isSeed := st.Seeds[u]; !isSeed {
-			out[u] = p
+	out := make(map[ids.UserID]float64, st.Len())
+	for i := 0; i < st.Len(); i++ {
+		if !st.IsSeed(i) {
+			out[st.User(i)] = st.Score(i)
 		}
 	}
 	return out
@@ -111,12 +125,13 @@ func TestFrontierMatchesDense(t *testing.T) {
 		st := NewTweetState()
 		NewIncremental(g, Config{Threshold: StaticThreshold(1e-12), MaxIterations: 500}).AddSeeds(st, seeds, len(seeds))
 		dense, _ := densePropagate(g, seeds, 1e-12, 500)
+		p, isSeeds := stateMaps(st)
 
 		for u := 0; u < 40; u++ {
-			if _, isSeed := st.Seeds[ids.UserID(u)]; isSeed {
+			if _, isSeed := isSeeds[ids.UserID(u)]; isSeed {
 				continue
 			}
-			if math.Abs(dense[u]-st.P[ids.UserID(u)]) > 1e-6 {
+			if math.Abs(dense[u]-p[ids.UserID(u)]) > 1e-6 {
 				return false
 			}
 		}
@@ -145,11 +160,12 @@ func TestIncrementalMatchesBatch(t *testing.T) {
 			inc.AddSeeds(st, []ids.UserID{s}, i+1)
 		}
 		dense, _ := densePropagate(g, seeds, 1e-12, 1000)
+		p, isSeeds := stateMaps(st)
 		for u := 0; u < 35; u++ {
-			if _, isSeed := st.Seeds[ids.UserID(u)]; isSeed {
+			if _, isSeed := isSeeds[ids.UserID(u)]; isSeed {
 				continue
 			}
-			if math.Abs(dense[u]-st.P[ids.UserID(u)]) > 1e-6 {
+			if math.Abs(dense[u]-p[ids.UserID(u)]) > 1e-6 {
 				return false
 			}
 		}
@@ -275,8 +291,8 @@ func TestPropagateIgnoresOutOfRangeSeeds(t *testing.T) {
 	inc := NewIncremental(g, DefaultConfig())
 	st := NewTweetState()
 	inc.AddSeeds(st, []ids.UserID{99}, 1)
-	if len(st.P) != 0 || len(st.Seeds) != 0 || len(st.Changed) != 0 {
-		t.Errorf("expected empty state, got %d scored, %d seeds, %d changed", len(st.P), len(st.Seeds), len(st.Changed))
+	if st.Len() != 0 || len(st.Changed) != 0 {
+		t.Errorf("expected empty state, got %d slots, %d changed", st.Len(), len(st.Changed))
 	}
 	if inc.LastRecomputed() != 0 {
 		t.Errorf("out-of-range seed caused %d recomputations", inc.LastRecomputed())

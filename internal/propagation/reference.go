@@ -7,16 +7,34 @@ import (
 	"repro/internal/wgraph"
 )
 
-// This file freezes the pre-kernel incremental propagator. It is correct
-// but pays avoidable per-call costs: RefIncremental probes the sparse
-// TweetState map once per edge and allocates a changed-set map per call.
-// The epoch-stamped kernel in incremental.go replaces it on the
-// production path; it stays as the differential-test oracle and the
-// baseline BenchmarkAddSeedsRef measures the kernel against, exactly as
-// pairwise similarity.Sim anchors SimBatch.
+// This file freezes the pre-kernel incremental propagator and the
+// map-based per-tweet state it ran on. It is correct but pays avoidable
+// per-call costs: RefIncremental probes the RefState map once per edge
+// and allocates a changed-set map per call. The epoch-stamped kernel and
+// the flat TweetState in incremental.go replace both on the production
+// path; they stay as the differential-test oracle and the baseline
+// BenchmarkAddSeedsRef measures the kernel against, exactly as pairwise
+// similarity.Sim anchors SimBatch.
+
+// RefState is the map-based per-tweet state RefIncremental propagates
+// into: every touched user's score, the seed set, and the users whose
+// score changed in the last call.
+type RefState struct {
+	P       map[ids.UserID]float64
+	Seeds   map[ids.UserID]struct{}
+	Changed []ids.UserID
+}
+
+// NewRefState returns empty reference state.
+func NewRefState() *RefState {
+	return &RefState{
+		P:     make(map[ids.UserID]float64),
+		Seeds: make(map[ids.UserID]struct{}),
+	}
+}
 
 // RefIncremental is the frozen map-probing incremental propagator: the
-// innermost recompute loop looks every influencer up in the TweetState
+// innermost recompute loop looks every influencer up in the RefState
 // map, and each AddSeeds call allocates a fresh changed-set map.
 type RefIncremental struct {
 	cfg   Config
@@ -43,7 +61,7 @@ func NewRefIncremental(g wgraph.View, cfg Config) *RefIncremental {
 // AddSeeds is the pre-kernel implementation of Incremental.AddSeeds. It
 // reaches the same fixpoint; only st.Changed's order differs (map
 // iteration order rather than discovery order).
-func (inc *RefIncremental) AddSeeds(st *TweetState, seeds []ids.UserID, popularity int) {
+func (inc *RefIncremental) AddSeeds(st *RefState, seeds []ids.UserID, popularity int) {
 	cutoff := inc.cfg.Threshold.Cutoff(popularity)
 	st.Changed = st.Changed[:0]
 	clear(inc.inQ)
@@ -88,7 +106,7 @@ func (inc *RefIncremental) AddSeeds(st *TweetState, seeds []ids.UserID, populari
 	}
 }
 
-func (inc *RefIncremental) recompute(st *TweetState, u ids.UserID) float64 {
+func (inc *RefIncremental) recompute(st *RefState, u ids.UserID) float64 {
 	to, w := inc.g.Out(u)
 	if len(to) == 0 {
 		return 0
@@ -102,7 +120,7 @@ func (inc *RefIncremental) recompute(st *TweetState, u ids.UserID) float64 {
 	return sum / float64(len(to))
 }
 
-func (inc *RefIncremental) enqueueInfluenced(st *TweetState, v ids.UserID) {
+func (inc *RefIncremental) enqueueInfluenced(st *RefState, v ids.UserID) {
 	from, _ := inc.g.In(v)
 	for _, u := range from {
 		if _, isSeed := st.Seeds[u]; isSeed {

@@ -72,14 +72,15 @@ type Recommender interface {
 }
 
 // Pool accumulates per-user candidate tweets with scores, evicting stale
-// tweets lazily. It serves the three message-centric methods (SimGraph,
-// CF, Bayes): observing a message updates candidate scores for tracked
-// users; Recommend drains the freshest top-k.
+// tweets lazily on read. It serves the evaluation's CF and Bayes
+// baselines: observing a message pushes candidate scores for tracked
+// users; Recommend drains the freshest top-k. (SimGraph keeps no pool: it
+// ranks straight from its per-tweet score vectors.)
 //
 // The pool is safe for concurrent use. Locking is split per tracked user
-// (one mutex per slot), so readers of different users never contend and
-// the serving layer scales with cores; only same-user operations
-// serialize. The tracked map itself is immutable after NewPool.
+// (one mutex per slot), so readers of different users never contend;
+// only same-user operations serialize. The tracked map itself is
+// immutable after NewPool.
 type Pool struct {
 	tracked  map[ids.UserID]int // user → slot; read-only after NewPool
 	slots    []poolSlot
@@ -112,24 +113,30 @@ func NewPool(tracked []ids.UserID, pubTime func(ids.TweetID) ids.Timestamp, maxA
 }
 
 // NewPoolFor creates the pool a method initialized on ctx streams into:
-// ctx.Tracked users, ctx.MaxAge freshness. It also records the training
-// shares of tweets still fresh at the end of ctx.Train, so a tweet a
-// user shared just before the train/stream cut is never recommended
-// back to them. Older training shares need no record: their tweets are
-// past the horizon for every later read.
+// ctx.Tracked users, ctx.MaxAge freshness, with every FreshTrainShares
+// share marked retweeted.
 func NewPoolFor(ctx *Context, pubTime func(ids.TweetID) ids.Timestamp) *Pool {
 	p := NewPool(ctx.Tracked, pubTime, ctx.MaxAge)
+	ctx.FreshTrainShares(pubTime, p.MarkRetweeted)
+	return p
+}
+
+// FreshTrainShares calls mark for every training share of a tweet still
+// fresh at the end of ctx.Train, so a tweet a user shared just before the
+// train/stream cut is never recommended back to them. Older training
+// shares need no record: their tweets are past the horizon for every
+// later read.
+func (ctx *Context) FreshTrainShares(pubTime func(ids.TweetID) ids.Timestamp, mark func(ids.UserID, ids.TweetID)) {
 	train := ctx.Train
 	if len(train) == 0 {
-		return p
+		return
 	}
 	horizon := train[len(train)-1].Time - ctx.MaxAge
 	for i := len(train) - 1; i >= 0 && train[i].Time >= horizon; i-- {
 		if pubTime(train[i].Tweet) >= horizon {
-			p.MarkRetweeted(train[i].User, train[i].Tweet)
+			mark(train[i].User, train[i].Tweet)
 		}
 	}
-	return p
 }
 
 // Tracks reports whether u is a tracked user.
@@ -185,22 +192,6 @@ func (p *Pool) MarkRetweeted(u ids.UserID, t ids.TweetID) {
 	delete(s.entries, t)
 }
 
-// Forget drops everything u's slot holds about t — its candidate entry
-// and its already-shared mark — once t has left the freshness window for
-// good, so a user who never reads does not keep every tweet it was ever
-// offered.
-func (p *Pool) Forget(u ids.UserID, t ids.TweetID) {
-	slot, ok := p.tracked[u]
-	if !ok {
-		return
-	}
-	s := &p.slots[slot]
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	delete(s.entries, t)
-	delete(s.retweeted, t)
-}
-
 // TopK returns u's best k fresh candidates at time now, evicting expired
 // entries as it scans.
 func (p *Pool) TopK(u ids.UserID, k int, now ids.Timestamp) []ScoredTweet {
@@ -249,19 +240,26 @@ func NewTopK(k int) *TopK {
 	return &TopK{k: k, h: make(scoredHeap, 0, k+1)}
 }
 
+// Admits reports whether Offer(tweet, score) would keep the candidate:
+// callers with a costly eligibility check run it only on admitted ones.
+func (t *TopK) Admits(tweet ids.TweetID, score float64) bool {
+	if len(t.h) < t.k {
+		return true
+	}
+	return t.k > 0 && (score > t.h[0].Score || (score == t.h[0].Score && tweet < t.h[0].Tweet))
+}
+
 // Offer considers one candidate.
 func (t *TopK) Offer(tweet ids.TweetID, score float64) {
-	if t.k <= 0 {
+	if !t.Admits(tweet, score) {
 		return
 	}
 	if len(t.h) < t.k {
 		heap.Push(&t.h, ScoredTweet{tweet, score})
 		return
 	}
-	if score > t.h[0].Score || (score == t.h[0].Score && tweet < t.h[0].Tweet) {
-		t.h[0] = ScoredTweet{tweet, score}
-		heap.Fix(&t.h, 0)
-	}
+	t.h[0] = ScoredTweet{tweet, score}
+	heap.Fix(&t.h, 0)
 }
 
 // Ranked drains the collector, best first. Ties break on lower TweetID

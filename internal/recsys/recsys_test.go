@@ -49,23 +49,6 @@ func TestPoolMarkRetweeted(t *testing.T) {
 	}
 }
 
-func TestPoolForget(t *testing.T) {
-	p := NewPool([]ids.UserID{1}, constPub, 100)
-	p.Bump(1, 7, 0.9)
-	p.MarkRetweeted(1, 8)
-	p.Forget(1, 7)
-	p.Forget(1, 8)
-	p.Forget(2, 7) // untracked: ignored
-	if p.Size(1) != 0 {
-		t.Fatalf("size %d after Forget, want 0", p.Size(1))
-	}
-	// The already-shared mark is gone with the entry.
-	p.Bump(1, 8, 0.4)
-	if got := p.TopK(1, 5, 10); len(got) != 1 || got[0].Tweet != 8 {
-		t.Fatalf("TopK after Forget = %+v", got)
-	}
-}
-
 // TestNewPoolForMarksFreshTrainingShares: a training share of a tweet
 // still inside the horizon at the end of training is marked shared; an
 // older one needs no mark.

@@ -282,7 +282,7 @@ func (s *Server) handleRecommend(w http.ResponseWriter, r *http.Request) {
 	tok := s.cache.Begin(u)
 	recs, cold := s.backend.RecommendWithColdStart(u, k, now)
 	if cold {
-		// Cold-start results aggregate other users' pools; no per-user
+		// Cold-start results aggregate other users' candidates; no per-user
 		// invalidation signal covers them, so they are never cached.
 		s.cache.Bypass()
 		s.writeRecommend(w, "bypass", u, now, true, recs)

@@ -1,6 +1,7 @@
 package simgraph
 
 import (
+	"slices"
 	"sync"
 	"time"
 
@@ -35,7 +36,7 @@ type RecommenderConfig struct {
 	Metrics *metrics.Registry
 	// OnChanged, when non-nil, is called after every state change that can
 	// alter some user's recommendation list, with the users affected: the
-	// sharer of each observed retweet (their pool loses the shared tweet)
+	// sharer of each observed retweet (the shared tweet leaves their list)
 	// and every user whose propagated score moved (TweetState.Changed).
 	// The sharer call runs outside the recommender lock; the propagation
 	// call runs under it, on whichever goroutine propagated (an Observe
@@ -66,24 +67,32 @@ func DefaultRecommenderConfig() RecommenderConfig {
 // Recommender is the paper's system: similarity graph + propagation.
 // It implements recsys.Recommender.
 //
+// Each (user, tweet) score is stored once, in the tweet's flat
+// propagation state. A tracked user's candidates are a posting list of
+// (tweet, slot) pairs, appended when a propagation first reaches the user
+// for that tweet; Recommend pulls the live score from states[tweet] at
+// that slot. Scores never decrease (propagation.TestScoresNeverDecrease),
+// so the live score is the maximum a push-based pool would have kept.
+//
 // Concurrency: after Init, the recommender is safe for concurrent use,
 // with one writer at a time. Every write to the streaming state — the
-// scheduler, the per-tweet bookkeeping and the propagation itself, on the
-// one Incremental the recommender owns — happens under r.mu, so Observe
-// calls serialize there. Recommend calls from many goroutines proceed in
-// parallel over the lock-split candidate pool; with postponement on, each
-// first drains the due batches serially under r.mu. Init/InitWithGraph
-// must happen-before any concurrent calls.
+// scheduler, the per-tweet states, the posting lists and the propagation
+// itself, on the one Incremental the recommender owns — happens under the
+// write lock of r.mu, so Observe calls serialize there. Recommend calls
+// from many goroutines read in parallel under its read lock; with
+// postponement on, each first drains the due batches under the write
+// lock. Init/InitWithGraph must happen-before any concurrent calls.
 type Recommender struct {
-	cfg  RecommenderConfig
-	ds   *dataset.Dataset
-	sim  *wgraph.Graph
-	pool *recsys.Pool
+	cfg RecommenderConfig
+	ds  *dataset.Dataset
+	sim *wgraph.Graph
+	// readAge is the read-side freshness horizon (the context's MaxAge):
+	// older tweets are never returned, whatever state they still have.
+	readAge ids.Timestamp
 
-	// mu guards all streaming state: sched, dueBuf, inc, states (the map
-	// and the TweetState values), counts, and the eviction queue. It is
-	// held across every propagation.
-	mu    sync.Mutex
+	// mu guards all streaming state below. Writers (Observe, drains) hold
+	// it exclusively across every propagation; Recommend holds it shared.
+	mu    sync.RWMutex
 	sched *propagation.Scheduler
 	// dueBuf is the reusable scheduler-pop buffer.
 	dueBuf []propagation.Batch
@@ -91,12 +100,23 @@ type Recommender struct {
 	// epoch-stamped dense scratch is reused across every tweet.
 	inc *propagation.Incremental
 
-	// Per-tweet propagation state with lifetime eviction.
-	states map[ids.TweetID]*propagation.TweetState
-	counts map[ids.TweetID]int
+	// Per-tweet propagation state and stream counts, dense by TweetID:
+	// nil / 0 for tweets never observed or already evicted. live counts
+	// the non-nil states.
+	states []*propagation.TweetState
+	counts []int
+	live   int
 	// evictQueue holds tweets in first-seen order for cheap age eviction.
 	evictQueue []ids.TweetID
 	evictHead  int
+	// newest is the stream clock: the latest action time observed. A
+	// tweet older than MaxAge against it is evicted and never gets state
+	// again, so an evicted state never comes back.
+	newest ids.Timestamp
+
+	// listOf maps a user to their index in lists, or -1 if untracked.
+	listOf []int32
+	lists  []candidates
 
 	// Instruments, resolved from the config registry in attach. All are
 	// lock-free; they are updated under r.mu, where the counted work runs.
@@ -112,6 +132,26 @@ type Recommender struct {
 	mEvictions    *metrics.Counter   // per-tweet states aged out
 	mStates       *metrics.Gauge     // live per-tweet propagation states
 	mPending      *metrics.Gauge     // scheduler pending-batch depth
+}
+
+// candidates is one tracked user's read index.
+type candidates struct {
+	// post holds a pair per tweet whose propagation reached the user as a
+	// non-seed: the score is states[tweet].Score(slot).
+	post []posting
+	// shared lists the tweets the user shared (in the stream, or in the
+	// training tail while still fresh); they are never recommended back.
+	shared []ids.TweetID
+	// stale counts entries whose tweet was evicted since the last trim
+	// (an upper bound: every user of an evicted state is counted).
+	stale int
+}
+
+// posting names one user's score in one tweet's state. It holds no
+// pointer, so posting lists cost the garbage collector nothing to scan.
+type posting struct {
+	tweet ids.TweetID
+	slot  int32
 }
 
 // NewRecommender returns an untrained SimGraph recommender.
@@ -165,13 +205,24 @@ func (r *Recommender) attach(ctx *recsys.Context) {
 	r.mPending.Set(0)
 
 	r.inc = propagation.NewIncremental(r.sim, r.cfg.Prop)
-	r.pool = recsys.NewPoolFor(ctx, func(t ids.TweetID) ids.Timestamp {
-		return r.ds.Tweets[t].Time
-	})
-	r.states = make(map[ids.TweetID]*propagation.TweetState)
-	r.counts = make(map[ids.TweetID]int)
+	r.readAge = ctx.MaxAge
+	r.states = make([]*propagation.TweetState, r.ds.NumTweets())
+	r.counts = make([]int, r.ds.NumTweets())
+	r.live = 0
 	r.evictQueue = nil
 	r.evictHead = 0
+	r.newest = 0
+	r.listOf = make([]int32, r.ds.NumUsers())
+	for u := range r.listOf {
+		r.listOf[u] = -1
+	}
+	r.lists = make([]candidates, len(ctx.Tracked))
+	for i, u := range ctx.Tracked {
+		if int(u) < len(r.listOf) { // an unknown user can never be reached
+			r.listOf[u] = int32(i)
+		}
+	}
+	ctx.FreshTrainShares(func(t ids.TweetID) ids.Timestamp { return r.ds.Tweets[t].Time }, r.markShared)
 	if r.cfg.Postpone {
 		r.sched = propagation.NewScheduler(r.cfg.PostponeMin, r.cfg.PostponeMax, 12)
 	}
@@ -181,42 +232,95 @@ func (r *Recommender) attach(ctx *recsys.Context) {
 // incrementally from the new sharer, immediately or on the postponed
 // schedule.
 func (r *Recommender) Observe(a dataset.Action) {
-	r.pool.MarkRetweeted(a.User, a.Tweet)
+	r.mu.Lock()
+	r.observeLocked(a)
+	r.mu.Unlock()
 	if r.cfg.OnChanged != nil {
-		// The sharer's own list changed even if the propagation below is
-		// postponed or stale-dropped: MarkRetweeted just removed the tweet
-		// from their candidates.
+		// The sharer's own list changed even if the propagation was
+		// postponed or stale-dropped: the tweet left their candidates.
 		r.cfg.OnChanged([]ids.UserID{a.User})
 	}
-	if a.Time-r.ds.Tweets[a.Tweet].Time > r.cfg.MaxAge {
+}
+
+func (r *Recommender) observeLocked(a dataset.Action) {
+	r.markShared(a.User, a.Tweet)
+	if a.Time > r.newest {
+		r.newest = a.Time
+	}
+	if r.newest-r.ds.Tweets[a.Tweet].Time > r.cfg.MaxAge {
 		// The tweet is past the freshness horizon: its propagation state
 		// was (or would immediately be) evicted, and recreating it would
 		// append the old tweet to the back of evictQueue, breaking the
 		// publication-ordered prefix scan that eviction relies on. The
-		// share is still recorded in the pool above so the tweet is never
-		// recommended back; the propagation itself is dropped.
+		// share is still recorded above so the tweet is never recommended
+		// back; the propagation itself is dropped.
 		return
 	}
-
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	if _, seen := r.counts[a.Tweet]; !seen {
+	if r.counts[a.Tweet] == 0 {
 		// First observation enters the tweet into the eviction queue —
 		// keyed on counts, not states, so postponed batches that never
 		// propagate still have their bookkeeping reclaimed.
 		r.evictQueue = append(r.evictQueue, a.Tweet)
 	}
 	r.counts[a.Tweet]++
-	r.evictExpired(a.Time)
+	r.evictExpired()
 
 	if r.sched == nil {
-		if task, ok := r.resolveLocked(a.Tweet, []ids.UserID{a.User}, a.Time); ok {
+		if task, ok := r.resolveLocked(a.Tweet, []ids.UserID{a.User}, r.newest); ok {
 			r.propagate(task)
 		}
 		return
 	}
 	r.sched.Observe(a.Tweet, a.User, a.Time, r.counts[a.Tweet])
-	r.drainLocked(a.Time)
+	r.drainLocked(r.newest)
+}
+
+// candidatesOf returns u's read index, or nil if u is untracked.
+func (r *Recommender) candidatesOf(u ids.UserID) *candidates {
+	if int(u) >= len(r.listOf) || r.listOf[u] < 0 {
+		return nil
+	}
+	return &r.lists[r.listOf[u]]
+}
+
+// markShared records that u shared t. Callers hold r.mu exclusively.
+func (r *Recommender) markShared(u ids.UserID, t ids.TweetID) {
+	c := r.candidatesOf(u)
+	if c == nil {
+		return
+	}
+	if len(c.shared) == cap(c.shared) {
+		// Trim before growing: shares of tweets that never get state (stale
+		// or training-tail shares) are reclaimed here. If the trim freed
+		// less than half, double the room so the next trim is as many
+		// appends away as the list is long: amortised O(1).
+		r.trim(c)
+		if 2*len(c.shared) > cap(c.shared) {
+			c.shared = slices.Grow(c.shared, len(c.shared))
+		}
+	}
+	c.shared = append(c.shared, t)
+}
+
+// trim drops c's postings and share marks whose tweet can never be
+// returned again: its state was evicted, or it has none and is past the
+// horizon (so it never will have one). Callers hold r.mu exclusively.
+func (r *Recommender) trim(c *candidates) {
+	post := c.post[:0]
+	for _, p := range c.post {
+		if r.states[p.tweet] != nil {
+			post = append(post, p)
+		}
+	}
+	c.post = post
+	shared := c.shared[:0]
+	for _, t := range c.shared {
+		if r.states[t] != nil || r.newest-r.ds.Tweets[t].Time <= r.cfg.MaxAge {
+			shared = append(shared, t)
+		}
+	}
+	c.shared = shared
+	c.stale = 0
 }
 
 // drainTask is one resolved propagation unit: a tweet's state plus the
@@ -230,7 +334,7 @@ type drainTask struct {
 
 // resolveLocked turns a flushed batch (or an immediate share) into a
 // propagation task, creating per-tweet state on first touch. Callers
-// hold r.mu.
+// hold r.mu exclusively.
 func (r *Recommender) resolveLocked(t ids.TweetID, users []ids.UserID, now ids.Timestamp) (drainTask, bool) {
 	st := r.states[t]
 	if st == nil {
@@ -241,7 +345,8 @@ func (r *Recommender) resolveLocked(t ids.TweetID, users []ids.UserID, now ids.T
 		}
 		st = propagation.NewTweetState()
 		r.states[t] = st
-		r.mStates.Set(int64(len(r.states)))
+		r.live++
+		r.mStates.Set(int64(r.live))
 		// The author is an implicit sharer of their own post — unless
 		// already among the sharers (an author retweeting their own
 		// thread), which would seed the first propagation twice.
@@ -261,7 +366,7 @@ func (r *Recommender) resolveLocked(t ids.TweetID, users []ids.UserID, now ids.T
 }
 
 // drainLocked pops every due postponed batch and propagates it, one
-// tweet after another. Callers hold r.mu.
+// tweet after another. Callers hold r.mu exclusively.
 func (r *Recommender) drainLocked(now ids.Timestamp) {
 	r.dueBuf = r.sched.DueAppend(now, r.dueBuf[:0])
 	if len(r.dueBuf) > 0 {
@@ -283,15 +388,23 @@ func (r *Recommender) drainLocked(now ids.Timestamp) {
 	r.mPending.Set(int64(r.sched.Pending()))
 }
 
-// propagate runs one task on the recommender's Incremental and refreshes
-// pooled scores for the users whose probability changed. Callers hold
-// r.mu; lock order is r.mu -> pool slot. OnChanged receives st.Changed
-// itself, which stays valid until the next AddSeeds.
+// propagate runs one task on the recommender's Incremental and posts
+// the tweet to every tracked user it reached for the first time. Callers
+// hold r.mu exclusively. OnChanged receives st.Changed itself, which
+// stays valid until the next AddSeeds.
 func (r *Recommender) propagate(task drainTask) {
 	st := task.st
+	before := st.Len()
 	r.inc.AddSeeds(st, task.users, task.popularity)
-	for _, u := range st.Changed {
-		r.pool.Bump(u, task.tweet, st.P[u])
+	// AddSeeds appends first-touched users after the old slots; a seed is
+	// never a candidate, so only the non-seeds among them get a posting.
+	for i := before; i < st.Len(); i++ {
+		if st.IsSeed(i) {
+			continue
+		}
+		if c := r.candidatesOf(st.User(i)); c != nil {
+			c.post = append(c.post, posting{tweet: task.tweet, slot: int32(i)})
+		}
 	}
 	if r.cfg.OnChanged != nil && len(st.Changed) > 0 {
 		r.cfg.OnChanged(st.Changed)
@@ -306,28 +419,35 @@ func (r *Recommender) propagate(task drainTask) {
 }
 
 // evictExpired drops propagation state of tweets past the freshness
-// horizon. Tweets enter evictQueue in first-observation order, which is
-// publication-correlated, so a prefix scan suffices (stale observations
-// are dropped in Observe, preserving the ordering invariant). Callers
-// hold r.mu.
-func (r *Recommender) evictExpired(now ids.Timestamp) {
+// horizon of the stream clock. Tweets enter evictQueue in
+// first-observation order, which is publication-correlated, so a prefix
+// scan suffices (stale observations are dropped in Observe, preserving
+// the ordering invariant). Callers hold r.mu exclusively.
+func (r *Recommender) evictExpired() {
 	evicted := 0
 	for r.evictHead < len(r.evictQueue) {
 		t := r.evictQueue[r.evictHead]
-		if now-r.ds.Tweets[t].Time <= r.cfg.MaxAge {
+		if r.newest-r.ds.Tweets[t].Time <= r.cfg.MaxAge {
 			break
 		}
 		if st := r.states[t]; st != nil {
-			// The tweet can never be recommended again: its pool
-			// entries and already-shared marks go with its state.
-			// Every seed is in P (AddSeeds scores it 1), so P names
-			// every user the tweet touched.
-			for u := range st.P {
-				r.pool.Forget(u, t)
+			r.states[t] = nil
+			r.live--
+			// Every user holding a posting for t is in st, and so is every
+			// sharer whose share propagated. A list is trimmed once a
+			// quarter of it may be stale: amortised O(1) per entry, and
+			// the lists stay O(live window).
+			for i := 0; i < st.Len(); i++ {
+				if c := r.candidatesOf(st.User(i)); c != nil {
+					c.stale++
+					if 4*c.stale > len(c.post)+len(c.shared) {
+						r.trim(c)
+					}
+				}
 			}
+			st.Release()
 		}
-		delete(r.states, t)
-		delete(r.counts, t)
+		r.counts[t] = 0
 		if r.sched != nil {
 			r.sched.Drop(t)
 		}
@@ -336,7 +456,7 @@ func (r *Recommender) evictExpired(now ids.Timestamp) {
 	}
 	if evicted > 0 {
 		r.mEvictions.Add(uint64(evicted))
-		r.mStates.Set(int64(len(r.states)))
+		r.mStates.Set(int64(r.live))
 		if r.sched != nil {
 			r.mPending.Set(int64(r.sched.Pending()))
 		}
@@ -349,15 +469,37 @@ func (r *Recommender) evictExpired(now ids.Timestamp) {
 }
 
 // Recommend implements recsys.Recommender. Safe for concurrent callers:
-// with postponement off it touches only the lock-split pool; with
-// postponement on, it first drains the due batches under r.mu.
+// it ranks u's postings under the read lock, never mutating them; with
+// postponement on, it first drains the due batches under the write lock.
 func (r *Recommender) Recommend(u ids.UserID, k int, now ids.Timestamp) []recsys.ScoredTweet {
 	if r.sched != nil {
 		r.mu.Lock()
 		r.drainLocked(now)
 		r.mu.Unlock()
 	}
-	return r.pool.TopK(u, k, now)
+	r.mu.RLock()
+	defer r.mu.RUnlock()
+	c := r.candidatesOf(u)
+	if c == nil {
+		return nil
+	}
+	// Eligibility (fresh, not a seed, not shared) costs random loads, so
+	// it is checked only for scores the collector would admit.
+	top := recsys.NewTopK(k)
+	for _, p := range c.post {
+		st := r.states[p.tweet]
+		if st == nil {
+			continue
+		}
+		slot := int(p.slot)
+		score := st.Score(slot)
+		if !top.Admits(p.tweet, score) || st.IsSeed(slot) ||
+			now-r.ds.Tweets[p.tweet].Time > r.readAge || slices.Contains(c.shared, p.tweet) {
+			continue
+		}
+		top.Offer(p.tweet, score)
+	}
+	return top.Ranked()
 }
 
 var _ recsys.Recommender = (*Recommender)(nil)

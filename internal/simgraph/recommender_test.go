@@ -129,8 +129,8 @@ func TestRecommenderStateEviction(t *testing.T) {
 	// Every retained state must be within the freshness horizon of the
 	// last observed action.
 	now := test[len(test)-1].Time
-	for tw := range r.states {
-		if now-ds.Tweets[tw].Time > r.cfg.MaxAge+ids.Day {
+	for tw, st := range r.states {
+		if st != nil && now-ds.Tweets[tw].Time > r.cfg.MaxAge+ids.Day {
 			t.Fatalf("stale state for tweet %d (age %v)", tw, now-ds.Tweets[tw].Time)
 		}
 	}
@@ -147,7 +147,7 @@ func TestInitWithGraphSharesNoState(t *testing.T) {
 	if b.Graph() != a.Graph() {
 		t.Fatal("InitWithGraph must install the given graph")
 	}
-	// Observing through b must not touch a's pools.
+	// Observing through b must not touch a's candidates.
 	test := ds.Actions[len(ctx.Train):]
 	for _, act := range test[:100] {
 		b.Observe(act)
@@ -157,5 +157,25 @@ func TestInitWithGraphSharesNoState(t *testing.T) {
 		if len(a.Recommend(u, 5, now)) != 0 {
 			t.Fatal("recommender A saw recommender B's observations")
 		}
+	}
+}
+
+// TestTrackedOutOfRange: a tracked id beyond the dataset's users (the
+// Engine passes EngineOptions.TrackUsers through unchecked) is ignored,
+// not a panic, and reads for it return nothing.
+func TestTrackedOutOfRange(t *testing.T) {
+	ds, ctx := recommenderWorld(t)
+	bogus := ids.UserID(ds.NumUsers() + 5)
+	ctx.Tracked = append(ctx.Tracked, bogus)
+	r := NewRecommender(DefaultRecommenderConfig())
+	if err := r.Init(ctx); err != nil {
+		t.Fatal(err)
+	}
+	produced, now := replayInto(t, r, ds, ctx)
+	if produced == 0 {
+		t.Fatal("no recommendations produced")
+	}
+	if recs := r.Recommend(bogus, 10, now); recs != nil {
+		t.Fatalf("out-of-range user got %v", recs)
 	}
 }

@@ -64,16 +64,17 @@ func TestResolveAuthorDedup(t *testing.T) {
 	r.mu.Unlock()
 
 	ref := propagation.NewRefIncremental(r.Graph(), r.cfg.Prop)
-	refState := propagation.NewTweetState()
+	refState := propagation.NewRefState()
 	ref.AddSeeds(refState, []ids.UserID{author, other}, 2)
 
 	st := task.st
-	if len(st.P) != len(refState.P) {
-		t.Fatalf("fixpoint size %d, reference %d", len(st.P), len(refState.P))
+	if st.Len() != len(refState.P) {
+		t.Fatalf("fixpoint size %d, reference %d", st.Len(), len(refState.P))
 	}
-	for u, p := range refState.P {
-		if st.P[u] != p {
-			t.Fatalf("P[%d] = %v, reference %v", u, st.P[u], p)
+	for i := 0; i < st.Len(); i++ {
+		u := st.User(i)
+		if p, ok := refState.P[u]; !ok || st.Score(i) != p {
+			t.Fatalf("P[%d] = %v, reference %v (present=%v)", u, st.Score(i), p, ok)
 		}
 	}
 

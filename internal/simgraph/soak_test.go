@@ -63,7 +63,7 @@ func soakReplay(t testing.TB, cfg RecommenderConfig, numTweets, perTweet int) (*
 	return r, ds
 }
 
-// assertBounded checks every per-tweet map against the freshness horizon:
+// assertBounded checks all per-tweet state against the freshness horizon:
 // after ~50k actions spanning dozens of MaxAge windows, live state must
 // cover only the tweets still inside the horizon.
 func assertBounded(t *testing.T, r *Recommender, ds *dataset.Dataset, now ids.Timestamp) {
@@ -71,10 +71,22 @@ func assertBounded(t *testing.T, r *Recommender, ds *dataset.Dataset, now ids.Ti
 	// Tweets published within MaxAge of now, plus slack for the eviction
 	// being driven lazily by observation times.
 	horizon := int(r.cfg.MaxAge/ids.Hour) + 8
-	if n := len(r.states); n > horizon {
+	liveStates, liveCounts := 0, 0
+	for tw, st := range r.states {
+		if st != nil {
+			liveStates++
+		}
+		if r.counts[tw] != 0 {
+			liveCounts++
+		}
+	}
+	if liveStates != r.live {
+		t.Errorf("live = %d, but %d states are held", r.live, liveStates)
+	}
+	if n := liveStates; n > horizon {
 		t.Errorf("states holds %d tweets, want <= %d (horizon)", n, horizon)
 	}
-	if n := len(r.counts); n > horizon {
+	if n := liveCounts; n > horizon {
 		t.Errorf("counts holds %d tweets, want <= %d — counts must be evicted with states", n, horizon)
 	}
 	if live := len(r.evictQueue) - r.evictHead; live > horizon {
@@ -84,13 +96,13 @@ func assertBounded(t *testing.T, r *Recommender, ds *dataset.Dataset, now ids.Ti
 	if len(r.evictQueue) > 2*4096+horizon {
 		t.Errorf("evictQueue length %d never compacted", len(r.evictQueue))
 	}
-	for tw := range r.states {
-		if now-ds.Tweets[tw].Time > r.cfg.MaxAge {
+	for tw, st := range r.states {
+		if st != nil && now-ds.Tweets[tw].Time > r.cfg.MaxAge {
 			t.Fatalf("zombie state for tweet %d (age %d h)", tw, (now-ds.Tweets[tw].Time)/ids.Hour)
 		}
 	}
-	for tw := range r.counts {
-		if now-ds.Tweets[tw].Time > r.cfg.MaxAge {
+	for tw, c := range r.counts {
+		if c != 0 && now-ds.Tweets[tw].Time > r.cfg.MaxAge {
 			t.Fatalf("zombie count for tweet %d", tw)
 		}
 	}
@@ -137,7 +149,7 @@ func TestLateRetweetDoesNotResurrectState(t *testing.T) {
 	if r.states[old] != nil {
 		t.Fatal("stale retweet resurrected per-tweet state")
 	}
-	if _, ok := r.counts[old]; ok {
+	if r.counts[old] != 0 {
 		t.Fatal("stale retweet recreated its count")
 	}
 	if n := len(r.evictQueue); n > 0 && r.evictQueue[n-1] == old {
@@ -176,7 +188,7 @@ func TestSchedulerBatchEvictedWithTweet(t *testing.T) {
 	if r.states[first.Tweet] != nil {
 		t.Fatal("expired batched tweet still has state")
 	}
-	if _, ok := r.counts[first.Tweet]; ok {
+	if r.counts[first.Tweet] != 0 {
 		t.Fatal("expired batched tweet still has a count")
 	}
 	// Draining at an even later time must not resurrect it either.

@@ -215,8 +215,13 @@ func TestEnginePropagateScores(t *testing.T) {
 	st := propagation.NewTweetState()
 	propagation.NewIncremental(g, propagation.DefaultConfig()).AddSeeds(st, seeds, len(seeds))
 	want := 0
-	for u, p := range st.P {
-		if _, isSeed := st.Seeds[u]; isSeed || p <= propagation.MinScore {
+	isSeed := make(map[UserID]bool)
+	for i := 0; i < st.Len(); i++ {
+		u, p := st.User(i), st.Score(i)
+		if st.IsSeed(i) {
+			isSeed[u] = true
+		}
+		if st.IsSeed(i) || p <= propagation.MinScore {
 			continue
 		}
 		want++
@@ -229,7 +234,7 @@ func TestEnginePropagateScores(t *testing.T) {
 	}
 
 	for u, p := range denseFixpoint(g, seeds, 1e-12, 2000) {
-		if _, isSeed := st.Seeds[UserID(u)]; isSeed {
+		if isSeed[UserID(u)] {
 			continue
 		}
 		if math.Abs(p-scores[UserID(u)]) > 1e-6 {
@@ -255,8 +260,8 @@ func TestResultExcludesBelowMinScore(t *testing.T) {
 	st := propagation.NewTweetState()
 	propagation.NewIncremental(eng.rec.Graph(), propagation.DefaultConfig()).AddSeeds(st, seeds, len(seeds))
 	low := 0
-	for _, p := range st.P {
-		if p <= minScore {
+	for i := 0; i < st.Len(); i++ {
+		if st.Score(i) <= minScore {
 			low++
 		}
 	}

@@ -5,7 +5,7 @@ package repro
 // one action), and the cache-aware
 // read path (RecommendWithColdStart) that tells the caller whether the result
 // came from the cold-start fallback — which aggregates OTHER users'
-// pools and is therefore not invalidated by the SetOnScoresChanged
+// candidates and is therefore not invalidated by the SetOnScoresChanged
 // hook, so serving caches must not hold it. internal/server is the
 // consumer.
 
@@ -97,7 +97,7 @@ func (e *Engine) ObserveBatch(actions []Action) []error {
 
 // RecommendWithColdStart is Recommend, additionally reporting whether
 // the result came from the cold-start followee aggregation. A cold
-// result depends on the FOLLOWEES' candidate pools, not on u's own
+// result depends on the FOLLOWEES' candidate lists, not on u's own
 // state, so the SetOnScoresChanged hook gives no signal when it goes
 // stale — serving caches must treat cold results as uncacheable.
 func (e *Engine) RecommendWithColdStart(u UserID, k int, now Timestamp) ([]Recommendation, bool) {
