@@ -61,7 +61,11 @@ type EngineOptions struct {
 	StaticBeta float64
 	// Postpone batches propagations on the adaptive time-frame schedule.
 	Postpone bool
-	// MaxAge is the recommendation freshness horizon (paper: 72 h).
+	// MaxAge is the freshness horizon (paper: 72 h; 0 means 72 h). This
+	// one horizon governs reads (older tweets are never recommended),
+	// eviction (a tweet older than MaxAge against the newest observed
+	// action loses its propagation state and never gets state again), and
+	// the refresh replay and checkpoint cuts.
 	MaxAge Timestamp
 	// TrackUsers limits recommendation state to these users; nil tracks
 	// everyone (costs one posting list per user).
@@ -85,8 +89,8 @@ type EngineOptions struct {
 	// PruneMinOverlap is the lossy prune threshold: candidates whose
 	// cluster overlap with the source falls below it are dropped before
 	// scoring. 0 keeps pruning exact. Quality cost at a given setting is
-	// measured by internal/eval (PruneQualityDelta; TestPruneQualityFloor
-	// pins it at 0.6).
+	// measured by internal/eval's tests (TestPruneQualityFloor pins it
+	// at 0.6).
 	PruneMinOverlap float64
 	// WAL, when non-nil, receives every action Observe accepts — before
 	// the engine state mutates, inside the exclusive lock, so the log

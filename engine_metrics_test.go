@@ -224,6 +224,73 @@ func TestRefreshKeepsServingAfterCompaction(t *testing.T) {
 	}
 }
 
+// maxAgeEngine returns an engine over an hourly soakDataset trained on its
+// first six tweets, with the given freshness horizon.
+func maxAgeEngine(t *testing.T, maxAge Timestamp) *Engine {
+	t.Helper()
+	ds := soakDataset(t, 300)
+	opts := DefaultEngineOptions()
+	opts.Train = ds.Actions
+	opts.MaxAge = maxAge
+	eng, err := NewEngine(ds, opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return eng
+}
+
+// TestEngineMaxAgeAboveDefaultServes: with MaxAge 168 h, a tweet shared
+// when 100 h old (past the paper's 72 h, inside the option) gets
+// propagation state and is served to the sharer's neighbours.
+func TestEngineMaxAgeAboveDefaultServes(t *testing.T) {
+	eng := maxAgeEngine(t, 168*Hour)
+	const tweet = TweetID(100) // published at 100 h by user 4
+	now := 200 * Hour
+	if err := eng.Observe(0, tweet, now); err != nil {
+		t.Fatal(err)
+	}
+	if got := eng.Metrics().Gauge("rec/states"); got != 1 {
+		t.Fatalf("rec/states = %d after a share at age 100 h, want 1", got)
+	}
+	served := 0
+	for u := UserID(1); u < 6; u++ {
+		recs, cold := eng.RecommendWithColdStart(u, 10, now)
+		for _, r := range recs {
+			if r.Tweet == tweet && !cold {
+				served++
+			}
+		}
+	}
+	if served == 0 {
+		t.Fatal("tweet aged 100 h served to nobody under MaxAge 168 h")
+	}
+}
+
+// TestEngineMaxAgeBelowDefaultEvicts: with MaxAge 24 h, a tweet's state
+// is evicted once the stream clock passes 24 h after its publication.
+func TestEngineMaxAgeBelowDefaultEvicts(t *testing.T) {
+	eng := maxAgeEngine(t, 24*Hour)
+	for _, tw := range []TweetID{100, 110} {
+		if err := eng.Observe(0, tw, Timestamp(tw)*Hour+Minute); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if got := eng.Metrics().Gauge("rec/states"); got != 2 {
+		t.Fatalf("rec/states = %d after shares at ages 10 h and 0 h, want 2", got)
+	}
+	// The clock reaches 126 h: tweet 100 is 26 h old, tweet 110 16 h.
+	if err := eng.Observe(0, 126, 126*Hour+Minute); err != nil {
+		t.Fatal(err)
+	}
+	snap := eng.Metrics()
+	if got := snap.Gauge("rec/states"); got != 2 {
+		t.Errorf("rec/states = %d with the clock 26 h past tweet 100, want 2 (100 evicted, 126 added)", got)
+	}
+	if got := snap.Counter("rec/evictions"); got != 1 {
+		t.Errorf("rec/evictions = %d, want 1", got)
+	}
+}
+
 // TestRefreshStatsIncremental pins the incremental-refresh observability
 // surface: the stats report the drained dirty set, the write-stall
 // duration (total RLock hold), and the Diff of the installed graph; the

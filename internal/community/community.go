@@ -472,16 +472,6 @@ func (e *Embeddings) Label(u ids.UserID) int32 {
 	return e.labels[u]
 }
 
-// Membership returns u's sparse vector: cluster ids (ascending) and the
-// matching normalized weights. Shared storage — do not modify.
-func (e *Embeddings) Membership(u ids.UserID) ([]int32, []float32) {
-	if int(u) >= len(e.labels) {
-		return nil, nil
-	}
-	lo, hi := e.ptr[u], e.ptr[u+1]
-	return e.cluster[lo:hi], e.weight[lo:hi]
-}
-
 // Covered returns how many users have a non-empty membership vector.
 func (e *Embeddings) Covered() int {
 	c := 0

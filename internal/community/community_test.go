@@ -67,7 +67,7 @@ func TestOverlapProperties(t *testing.T) {
 	}
 	// Membership vectors are normalized and cluster-sorted.
 	for u := 0; u < e.NumUsers(); u++ {
-		cs, ws := e.Membership(ids.UserID(u))
+		cs, ws := membership(e, ids.UserID(u))
 		sum := 0.0
 		for i := range cs {
 			sum += float64(ws[i])
@@ -91,7 +91,7 @@ func TestColdFillFromFollowees(t *testing.T) {
 	b.AddEdge(8, 1)
 	b.AddEdge(8, 4)
 	e := Detect(sim, b.Build(), DefaultConfig())
-	cs, ws := e.Membership(8)
+	cs, ws := membership(e, 8)
 	if len(cs) != 2 {
 		t.Fatalf("cold vector len %d, want 2 clusters: %v %v", len(cs), cs, ws)
 	}
@@ -112,7 +112,7 @@ func TestColdFillFromFollowees(t *testing.T) {
 	if e.Overlap(8, 0) <= e.Overlap(8, 5) {
 		t.Errorf("cold user overlap: A=%v B=%v", e.Overlap(8, 0), e.Overlap(8, 5))
 	}
-	if cs9, _ := e.Membership(9); len(cs9) != 0 {
+	if cs9, _ := membership(e, 9); len(cs9) != 0 {
 		t.Errorf("followee-less cold user got vector %v", cs9)
 	}
 }
@@ -206,4 +206,14 @@ func TestOverlapSourceMatchesOverlap(t *testing.T) {
 			}
 		}
 	}
+}
+
+// membership returns u's sparse vector: cluster ids (ascending) and the
+// matching normalized weights.
+func membership(e *Embeddings, u ids.UserID) ([]int32, []float32) {
+	if int(u) >= len(e.labels) {
+		return nil, nil
+	}
+	lo, hi := e.ptr[u], e.ptr[u+1]
+	return e.cluster[lo:hi], e.weight[lo:hi]
 }

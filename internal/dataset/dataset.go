@@ -6,7 +6,6 @@ package dataset
 
 import (
 	"fmt"
-	"sort"
 
 	"repro/internal/graph"
 	"repro/internal/ids"
@@ -159,27 +158,4 @@ func ClassifyUsers(counts []int32, lowMax, modMax int32) []ActivityClass {
 		}
 	}
 	return out
-}
-
-// ActionsByTweet groups an action log by tweet, preserving time order
-// within each group.
-func ActionsByTweet(numTweets int, actions []Action) [][]Action {
-	byTweet := make([][]Action, numTweets)
-	for _, a := range actions {
-		byTweet[a.Tweet] = append(byTweet[a.Tweet], a)
-	}
-	return byTweet
-}
-
-// SortActions sorts a log by (Time, Tweet, User) — the canonical order.
-func SortActions(actions []Action) {
-	sort.Slice(actions, func(i, j int) bool {
-		if actions[i].Time != actions[j].Time {
-			return actions[i].Time < actions[j].Time
-		}
-		if actions[i].Tweet != actions[j].Tweet {
-			return actions[i].Tweet < actions[j].Tweet
-		}
-		return actions[i].User < actions[j].User
-	})
 }

@@ -115,25 +115,6 @@ func TestClassifyUsers(t *testing.T) {
 	}
 }
 
-func TestActionsByTweet(t *testing.T) {
-	d := tinyDataset()
-	byTweet := ActionsByTweet(d.NumTweets(), d.Actions)
-	if len(byTweet[0]) != 3 || len(byTweet[1]) != 2 {
-		t.Fatalf("groups %d/%d", len(byTweet[0]), len(byTweet[1]))
-	}
-	if byTweet[0][0].Time > byTweet[0][1].Time {
-		t.Error("group not in time order")
-	}
-}
-
-func TestSortActions(t *testing.T) {
-	a := []Action{{User: 2, Tweet: 1, Time: 9}, {User: 1, Tweet: 0, Time: 2}, {User: 0, Tweet: 0, Time: 2}}
-	SortActions(a)
-	if a[0].User != 0 || a[1].User != 1 || a[2].Time != 9 {
-		t.Errorf("sorted = %v", a)
-	}
-}
-
 func TestCodecRoundTrip(t *testing.T) {
 	d := tinyDataset()
 	var buf bytes.Buffer
@@ -172,7 +153,6 @@ func TestCodecRoundTripRandom(t *testing.T) {
 				Time:  d.Tweets[ti].Time + ids.Timestamp(rng.Intn(500)),
 			})
 		}
-		SortActions(d.Actions)
 		var buf bytes.Buffer
 		if err := d.Save(&buf); err != nil {
 			return false

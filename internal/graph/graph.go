@@ -3,7 +3,7 @@
 // Builder that freezes into an immutable CSR (compressed sparse row)
 // Graph with out- and in-adjacency, plus the traversal and measurement
 // primitives the paper's analysis needs (BFS, bounded neighbourhoods,
-// path-length distributions, diameter estimation, components).
+// path-length distributions, diameter estimation).
 package graph
 
 import (
@@ -144,13 +144,6 @@ func (g *Graph) OutDegree(u ids.UserID) int {
 // InDegree returns len(In(u)).
 func (g *Graph) InDegree(u ids.UserID) int {
 	return int(g.inPtr[u+1] - g.inPtr[u])
-}
-
-// HasEdge reports whether the directed edge u→v exists (binary search).
-func (g *Graph) HasEdge(u, v ids.UserID) bool {
-	out := g.Out(u)
-	i := sort.Search(len(out), func(i int) bool { return out[i] >= v })
-	return i < len(out) && out[i] == v
 }
 
 // DegreeStats summarizes the degree distribution of a graph.

@@ -2,6 +2,7 @@ package graph
 
 import (
 	"reflect"
+	"slices"
 	"sort"
 	"testing"
 	"testing/quick"
@@ -49,7 +50,7 @@ func TestBuildDedupAndSelfLoops(t *testing.T) {
 	if g.NumEdges() != 2 {
 		t.Fatalf("NumEdges = %d, want 2", g.NumEdges())
 	}
-	if !g.HasEdge(1, 2) || g.HasEdge(2, 2) || g.HasEdge(2, 1) {
+	if !slices.Contains(g.Out(1), 2) || slices.Contains(g.Out(2), 2) || slices.Contains(g.Out(2), 1) {
 		t.Error("edge set wrong after dedup")
 	}
 }
@@ -83,7 +84,7 @@ func TestBFSDistances(t *testing.T) {
 func TestBFSBoundedMatchesFullBFS(t *testing.T) {
 	g := randomGraph(200, 4, 99)
 	full := g.BFS(5, nil)
-	nodes, dist := g.BFSBounded(5, 2)
+	nodes, dist := bfsBounded(g, 5, 2)
 	got := map[ids.UserID]int8{}
 	for i, u := range nodes {
 		got[u] = dist[i]
@@ -113,7 +114,7 @@ func TestBoundedBFSReuse(t *testing.T) {
 	var b BoundedBFS
 	for src := 0; src < 300; src += 7 {
 		for _, hops := range []int{1, 2, 3} {
-			wantNodes, wantDist := g.BFSBounded(ids.UserID(src), hops)
+			wantNodes, wantDist := bfsBounded(g, ids.UserID(src), hops)
 			gotNodes, gotDist := b.Explore(g, ids.UserID(src), hops)
 			if !reflect.DeepEqual(append([]ids.UserID{}, gotNodes...), wantNodes) {
 				t.Fatalf("src %d hops %d: reused scratch nodes differ", src, hops)
@@ -132,12 +133,12 @@ func TestBoundedBFSReuse(t *testing.T) {
 
 func TestNeighborhood2(t *testing.T) {
 	g := buildDiamond()
-	n2 := g.Neighborhood2(0)
+	n2, _ := bfsBounded(g, 0, 2) // the paper's N2(0)
 	sort.Slice(n2, func(i, j int) bool { return n2[i] < n2[j] })
 	if !reflect.DeepEqual(n2, []ids.UserID{1, 2, 3}) {
 		t.Fatalf("N2(0) = %v", n2)
 	}
-	if len(g.Neighborhood2(3)) != 0 {
+	if n2, _ := bfsBounded(g, 3, 2); len(n2) != 0 {
 		t.Error("N2(3) should be empty")
 	}
 }
@@ -187,19 +188,6 @@ func TestEstimateDiameterOnPath(t *testing.T) {
 	g := b.Build()
 	if got := g.EstimateDiameter([]ids.UserID{2}); got != 4 {
 		t.Fatalf("diameter = %d, want 4", got)
-	}
-}
-
-func TestLargestWeakComponent(t *testing.T) {
-	b := NewBuilder(7, 4)
-	b.AddEdge(0, 1)
-	b.AddEdge(1, 2)
-	b.AddEdge(4, 5)  // small component {4,5}
-	b.SetNumNodes(7) // 3 and 6 isolated
-	g := b.Build()
-	comp := g.LargestWeakComponent()
-	if !reflect.DeepEqual(comp, []ids.UserID{0, 1, 2}) {
-		t.Fatalf("largest component = %v", comp)
 	}
 }
 
@@ -298,7 +286,7 @@ func TestExploreFilteredVerdicts(t *testing.T) {
 
 	// All KeepExpand: identical to Explore.
 	nodes, _ := bfs.ExploreFiltered(g, 0, 2, func(ids.UserID, int8) Verdict { return KeepExpand })
-	want, _ := g.BFSBounded(0, 2)
+	want, _ := bfsBounded(g, 0, 2)
 	if len(nodes) != len(want) {
 		t.Fatalf("KeepExpand-everything: got %v want %v", nodes, want)
 	}
@@ -338,4 +326,10 @@ func TestExploreFilteredVerdicts(t *testing.T) {
 			t.Fatalf("node %d: hop %d, want %d", v, hops[v], wantHop)
 		}
 	}
+}
+
+// bfsBounded is a one-off BoundedBFS.Explore on fresh scratch.
+func bfsBounded(g *Graph, src ids.UserID, maxHops int) ([]ids.UserID, []int8) {
+	var b BoundedBFS
+	return b.Explore(g, src, maxHops)
 }

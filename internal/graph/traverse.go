@@ -154,21 +154,6 @@ func (b *BoundedBFS) ExploreFiltered(g *Graph, src ids.UserID, maxHops int, verd
 	return b.nodes[1:], b.dist[1:]
 }
 
-// BFSBounded is the one-off form of BoundedBFS.Explore, kept for callers
-// that explore a single source. Intended for the 2-hop neighbourhood
-// exploration N2(u); repeated callers should hold a BoundedBFS instead.
-func (g *Graph) BFSBounded(src ids.UserID, maxHops int) (nodes []ids.UserID, dist []int8) {
-	var b BoundedBFS
-	return b.Explore(g, src, maxHops)
-}
-
-// Neighborhood2 returns the distinct nodes reachable from src in at most
-// two hops following out-edges, excluding src. This is the paper's N2(u).
-func (g *Graph) Neighborhood2(src ids.UserID) []ids.UserID {
-	nodes, _ := g.BFSBounded(src, 2)
-	return nodes
-}
-
 // PathLengthDistribution BFS-samples shortest-path lengths from sources
 // chosen by the caller and histograms them. hist[d] counts ordered pairs
 // (s, v) with dist(s, v) == d for d >= 1; unreachable pairs are counted in
@@ -233,57 +218,6 @@ func (g *Graph) EstimateDiameter(starts []ids.UserID) int {
 		}
 	}
 	return best
-}
-
-// LargestWeakComponent returns the node set of the largest weakly
-// connected component (treating edges as undirected).
-func (g *Graph) LargestWeakComponent() []ids.UserID {
-	comp := make([]int32, g.n)
-	for i := range comp {
-		comp[i] = -1
-	}
-	var queue []ids.UserID
-	bestID, bestSize := int32(-1), 0
-	sizes := []int{}
-	next := int32(0)
-	for s := 0; s < g.n; s++ {
-		if comp[s] != -1 {
-			continue
-		}
-		id := next
-		next++
-		size := 0
-		queue = queue[:0]
-		queue = append(queue, ids.UserID(s))
-		comp[s] = id
-		for head := 0; head < len(queue); head++ {
-			u := queue[head]
-			size++
-			for _, v := range g.Out(u) {
-				if comp[v] == -1 {
-					comp[v] = id
-					queue = append(queue, v)
-				}
-			}
-			for _, v := range g.In(u) {
-				if comp[v] == -1 {
-					comp[v] = id
-					queue = append(queue, v)
-				}
-			}
-		}
-		sizes = append(sizes, size)
-		if size > bestSize {
-			bestSize, bestID = size, id
-		}
-	}
-	out := make([]ids.UserID, 0, bestSize)
-	for v := 0; v < g.n; v++ {
-		if comp[v] == bestID {
-			out = append(out, ids.UserID(v))
-		}
-	}
-	return out
 }
 
 // Distance returns the shortest-path hop count from u to v following

@@ -78,7 +78,7 @@ func (st *TweetState) push(u ids.UserID, p float64, seed bool) int32 {
 // the differential baseline.
 type Incremental struct {
 	cfg Config
-	g   wgraph.View
+	g   *wgraph.Graph
 
 	p       epoch.Vec   // dense view of the state's scores for the current call
 	slot    epoch.Index // each in-state user's slot in the state
@@ -95,7 +95,7 @@ type Incremental struct {
 }
 
 // NewIncremental returns an incremental propagator over g.
-func NewIncremental(g wgraph.View, cfg Config) *Incremental {
+func NewIncremental(g *wgraph.Graph, cfg Config) *Incremental {
 	if cfg.Threshold == nil {
 		cfg.Threshold = StaticThreshold(1e-6)
 	}

@@ -6,7 +6,6 @@ import (
 	"testing/quick"
 
 	"repro/internal/ids"
-	"repro/internal/wgraph"
 	"repro/internal/xrand"
 )
 
@@ -219,7 +218,6 @@ func TestLinearSystemIgnoresOutOfRangeSeeds(t *testing.T) {
 	if bvec[nodeX] != 1 {
 		t.Error("in-range seed not pinned")
 	}
-	var _ = wgraph.View(g)
 }
 
 // TestScoresNeverDecrease pins the invariant simgraph's pull-based reads

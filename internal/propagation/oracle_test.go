@@ -12,7 +12,7 @@ import (
 // until no probability changes by more than tol). It exists as the
 // oracle for the tests and the solver ablation; Incremental.AddSeeds is
 // the production path.
-func densePropagate(g wgraph.View, seeds []ids.UserID, tol float64, maxIter int) ([]float64, int) {
+func densePropagate(g *wgraph.Graph, seeds []ids.UserID, tol float64, maxIter int) ([]float64, int) {
 	n := g.NumNodes()
 	p := make([]float64, n)
 	next := make([]float64, n)
@@ -62,7 +62,7 @@ func densePropagate(g wgraph.View, seeds []ids.UserID, tol float64, maxIter int)
 //
 // for everyone else. The matrix is strictly diagonally dominant by
 // construction since sim ≤ 1.
-func linearSystem(g wgraph.View, seeds []ids.UserID) (*linalg.CSR, []float64, error) {
+func linearSystem(g *wgraph.Graph, seeds []ids.UserID) (*linalg.CSR, []float64, error) {
 	n := g.NumNodes()
 	isSeed := make([]bool, n)
 	for _, s := range seeds {

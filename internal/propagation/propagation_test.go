@@ -60,6 +60,39 @@ func TestPaperWorkedExample(t *testing.T) {
 	}
 }
 
+// TestPropagateSeesReweightedEdge: a weight rewritten the way a refresh
+// rewrites it (wgraph.SpliceOuts) moves the fixpoint accordingly.
+func TestPropagateSeesReweightedEdge(t *testing.T) {
+	// w trusts x more: p(w) = (0.9·1 + 0.4·0)/2 = 0.45.
+	g := wgraph.SpliceOuts(paperGraph(), []wgraph.OutRun{
+		{From: nodeW, To: []ids.UserID{nodeX, nodeY}, W: []float32{0.9, 0.4}},
+	})
+	got := oneShot(NewIncremental(g, Config{Threshold: StaticThreshold(0), MaxIterations: 100}), []ids.UserID{nodeX})
+	if math.Abs(got[nodeW]-0.45) > 1e-6 {
+		t.Errorf("p(w) = %v, want 0.45 after the reweight", got[nodeW])
+	}
+}
+
+// An edge added by wgraph.SpliceOuts extends the propagation's reach.
+func TestPropagateReachesThroughAddedEdge(t *testing.T) {
+	// y now also trusts x: y gets a score, and w's mean over {x, y} grows.
+	g := wgraph.SpliceOuts(paperGraph(), []wgraph.OutRun{
+		{From: nodeY, To: []ids.UserID{nodeX}, W: []float32{0.8}},
+	})
+	got := oneShot(NewIncremental(g, Config{Threshold: StaticThreshold(0), MaxIterations: 100}), []ids.UserID{nodeX})
+	if math.Abs(got[nodeY]-0.8) > 1e-6 {
+		t.Errorf("p(y) = %v, want 0.8", got[nodeY])
+	}
+	// p(w) = (0.5·1 + 0.4·0.8)/2 = 0.41.
+	if math.Abs(got[nodeW]-0.41) > 1e-6 {
+		t.Errorf("p(w) = %v, want 0.41", got[nodeW])
+	}
+	// v now reachable: p(v) = 0.1·0.8 / 1 = 0.08.
+	if math.Abs(got[nodeV]-0.08) > 1e-6 {
+		t.Errorf("p(v) = %v, want 0.08", got[nodeV])
+	}
+}
+
 func TestDensePropagateMatchesWorkedExample(t *testing.T) {
 	g := paperGraph()
 	p, iters := densePropagate(g, []ids.UserID{nodeX}, 1e-12, 100)

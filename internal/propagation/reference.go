@@ -38,13 +38,13 @@ func NewRefState() *RefState {
 // map, and each AddSeeds call allocates a fresh changed-set map.
 type RefIncremental struct {
 	cfg   Config
-	g     wgraph.View
+	g     *wgraph.Graph
 	inQ   map[ids.UserID]struct{}
 	queue []ids.UserID
 }
 
 // NewRefIncremental returns the reference incremental propagator over g.
-func NewRefIncremental(g wgraph.View, cfg Config) *RefIncremental {
+func NewRefIncremental(g *wgraph.Graph, cfg Config) *RefIncremental {
 	if cfg.Threshold == nil {
 		cfg.Threshold = StaticThreshold(1e-6)
 	}

@@ -71,3 +71,27 @@ func TestSchedulerDefaultsSanitized(t *testing.T) {
 		t.Errorf("defaults not sanitized: %+v", s)
 	}
 }
+
+func TestSchedulerDrop(t *testing.T) {
+	s := NewScheduler(ids.Minute, ids.Hour, 12)
+	s.Observe(1, 10, 0, 1)
+	s.Observe(2, 11, 0, 1)
+	s.Observe(3, 12, 0, 1)
+
+	s.Drop(2)
+	if s.Pending() != 2 {
+		t.Fatalf("pending = %d after drop, want 2", s.Pending())
+	}
+	s.Drop(2) // dropping twice is a no-op
+	s.Drop(99)
+
+	got := s.Due(2 * ids.Hour)
+	if len(got) != 2 {
+		t.Fatalf("flushed %d batches, want 2", len(got))
+	}
+	for _, b := range got {
+		if b.Tweet == 2 {
+			t.Fatal("dropped tweet still flushed")
+		}
+	}
+}

@@ -39,8 +39,10 @@ type Context struct {
 	// score updates for everyone else (a pure optimization: the paper
 	// evaluates on a 1 500-user sample too).
 	Tracked []ids.UserID
-	// MaxAge is the freshness horizon: tweets older than this are never
-	// recommended (§3.1.2 concludes 72 h).
+	// MaxAge is the freshness horizon (§3.1.2 concludes 72 h). It governs
+	// reads (tweets older than this are never recommended) and eviction
+	// (methods that keep per-tweet state, such as SimGraph, drop it once
+	// the tweet is older than this).
 	MaxAge ids.Timestamp
 	// Seed feeds any randomized method (GraphJet walks).
 	Seed uint64
@@ -137,12 +139,6 @@ func (ctx *Context) FreshTrainShares(pubTime func(ids.TweetID) ids.Timestamp, ma
 			mark(train[i].User, train[i].Tweet)
 		}
 	}
-}
-
-// Tracks reports whether u is a tracked user.
-func (p *Pool) Tracks(u ids.UserID) bool {
-	_, ok := p.tracked[u]
-	return ok
 }
 
 // Bump raises u's candidate score for t to at least score (no-op for

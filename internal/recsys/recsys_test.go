@@ -14,7 +14,10 @@ func constPub(ids.TweetID) ids.Timestamp { return 0 }
 
 func TestPoolBasics(t *testing.T) {
 	p := NewPool([]ids.UserID{5, 9}, constPub, 100)
-	if !p.Tracks(5) || p.Tracks(7) {
+	if _, ok := p.tracked[5]; !ok {
+		t.Fatal("tracking set wrong")
+	}
+	if _, ok := p.tracked[7]; ok {
 		t.Fatal("tracking set wrong")
 	}
 	p.Bump(5, 1, 0.5)

@@ -91,7 +91,7 @@ func TestPullMatchesPool(t *testing.T) {
 	if err := r.Init(ctx); err != nil {
 		t.Fatal(err)
 	}
-	ref := newPoolReference(ctx, propagation.NewRefIncremental(r.Graph(), cfg.Prop), cfg.MaxAge)
+	ref := newPoolReference(ctx, propagation.NewRefIncremental(r.Graph(), cfg.Prop), ctx.MaxAge)
 
 	compare := func(now ids.Timestamp) (lists, items int) {
 		for _, u := range tracked {

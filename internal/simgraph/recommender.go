@@ -25,9 +25,6 @@ type RecommenderConfig struct {
 	Postpone bool
 	// PostponeMin/PostponeMax bound the adaptive time frame δ.
 	PostponeMin, PostponeMax ids.Timestamp
-	// MaxAge evicts per-tweet propagation state once the tweet exceeds
-	// this age — §3.1.2: scores need not be computed after 72 h.
-	MaxAge ids.Timestamp
 	// Metrics is the instrument registry the recommender reports into
 	// (see the rec/* names resolved in attach). Nil gives the recommender
 	// a private registry; the Engine passes its own registry, which also
@@ -60,7 +57,6 @@ func DefaultRecommenderConfig() RecommenderConfig {
 		Postpone:    false,
 		PostponeMin: 10 * ids.Minute,
 		PostponeMax: 4 * ids.Hour,
-		MaxAge:      72 * ids.Hour,
 	}
 }
 
@@ -86,9 +82,11 @@ type Recommender struct {
 	cfg RecommenderConfig
 	ds  *dataset.Dataset
 	sim *wgraph.Graph
-	// readAge is the read-side freshness horizon (the context's MaxAge):
-	// older tweets are never returned, whatever state they still have.
-	readAge ids.Timestamp
+	// maxAge is the freshness horizon, the context's MaxAge (§3.1.2:
+	// scores need not be computed after 72 h). A tweet older than it
+	// against the stream clock loses its propagation state and never
+	// gets state again; one older than it at read time is never returned.
+	maxAge ids.Timestamp
 
 	// mu guards all streaming state below. Writers (Observe, drains) hold
 	// it exclusively across every propagation; Recommend holds it shared.
@@ -110,7 +108,7 @@ type Recommender struct {
 	evictQueue []ids.TweetID
 	evictHead  int
 	// newest is the stream clock: the latest action time observed. A
-	// tweet older than MaxAge against it is evicted and never gets state
+	// tweet older than maxAge against it is evicted and never gets state
 	// again, so an evicted state never comes back.
 	newest ids.Timestamp
 
@@ -156,9 +154,6 @@ type posting struct {
 
 // NewRecommender returns an untrained SimGraph recommender.
 func NewRecommender(cfg RecommenderConfig) *Recommender {
-	if cfg.MaxAge <= 0 {
-		cfg.MaxAge = 72 * ids.Hour
-	}
 	return &Recommender{cfg: cfg}
 }
 
@@ -205,7 +200,7 @@ func (r *Recommender) attach(ctx *recsys.Context) {
 	r.mPending.Set(0)
 
 	r.inc = propagation.NewIncremental(r.sim, r.cfg.Prop)
-	r.readAge = ctx.MaxAge
+	r.maxAge = ctx.MaxAge
 	r.states = make([]*propagation.TweetState, r.ds.NumTweets())
 	r.counts = make([]int, r.ds.NumTweets())
 	r.live = 0
@@ -247,7 +242,7 @@ func (r *Recommender) observeLocked(a dataset.Action) {
 	if a.Time > r.newest {
 		r.newest = a.Time
 	}
-	if r.newest-r.ds.Tweets[a.Tweet].Time > r.cfg.MaxAge {
+	if r.newest-r.ds.Tweets[a.Tweet].Time > r.maxAge {
 		// The tweet is past the freshness horizon: its propagation state
 		// was (or would immediately be) evicted, and recreating it would
 		// append the old tweet to the back of evictQueue, breaking the
@@ -315,7 +310,7 @@ func (r *Recommender) trim(c *candidates) {
 	c.post = post
 	shared := c.shared[:0]
 	for _, t := range c.shared {
-		if r.states[t] != nil || r.newest-r.ds.Tweets[t].Time <= r.cfg.MaxAge {
+		if r.states[t] != nil || r.newest-r.ds.Tweets[t].Time <= r.maxAge {
 			shared = append(shared, t)
 		}
 	}
@@ -338,7 +333,7 @@ type drainTask struct {
 func (r *Recommender) resolveLocked(t ids.TweetID, users []ids.UserID, now ids.Timestamp) (drainTask, bool) {
 	st := r.states[t]
 	if st == nil {
-		if now-r.ds.Tweets[t].Time > r.cfg.MaxAge {
+		if now-r.ds.Tweets[t].Time > r.maxAge {
 			// Evicted (or never fresh) by the time the batch drained:
 			// never resurrect expired per-tweet state.
 			return drainTask{}, false
@@ -427,7 +422,7 @@ func (r *Recommender) evictExpired() {
 	evicted := 0
 	for r.evictHead < len(r.evictQueue) {
 		t := r.evictQueue[r.evictHead]
-		if r.newest-r.ds.Tweets[t].Time <= r.cfg.MaxAge {
+		if r.newest-r.ds.Tweets[t].Time <= r.maxAge {
 			break
 		}
 		if st := r.states[t]; st != nil {
@@ -494,7 +489,7 @@ func (r *Recommender) Recommend(u ids.UserID, k int, now ids.Timestamp) []recsys
 		slot := int(p.slot)
 		score := st.Score(slot)
 		if !top.Admits(p.tweet, score) || st.IsSeed(slot) ||
-			now-r.ds.Tweets[p.tweet].Time > r.readAge || slices.Contains(c.shared, p.tweet) {
+			now-r.ds.Tweets[p.tweet].Time > r.maxAge || slices.Contains(c.shared, p.tweet) {
 			continue
 		}
 		top.Offer(p.tweet, score)

@@ -130,7 +130,7 @@ func TestRecommenderStateEviction(t *testing.T) {
 	// last observed action.
 	now := test[len(test)-1].Time
 	for tw, st := range r.states {
-		if st != nil && now-ds.Tweets[tw].Time > r.cfg.MaxAge+ids.Day {
+		if st != nil && now-ds.Tweets[tw].Time > ctx.MaxAge+ids.Day {
 			t.Fatalf("stale state for tweet %d (age %v)", tw, now-ds.Tweets[tw].Time)
 		}
 	}

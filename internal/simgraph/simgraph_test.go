@@ -1,7 +1,9 @@
 package simgraph
 
 import (
+	"cmp"
 	"fmt"
+	"slices"
 	"testing"
 
 	"repro/internal/dataset"
@@ -108,7 +110,7 @@ func TestMaxOutDegreeCap(t *testing.T) {
 			actions = append(actions, dataset.Action{User: ids.UserID(v), Tweet: ids.TweetID(10 + v*20 + p), Time: ids.Timestamp(100 + v)})
 		}
 	}
-	dataset.SortActions(actions)
+	slices.SortStableFunc(actions, func(a, b dataset.Action) int { return cmp.Compare(a.Time, b.Time) })
 	store := similarity.NewStore(10, 300, actions)
 	cfg := DefaultConfig()
 	cfg.Tau = 1e-9

@@ -70,7 +70,7 @@ func assertBounded(t *testing.T, r *Recommender, ds *dataset.Dataset, now ids.Ti
 	t.Helper()
 	// Tweets published within MaxAge of now, plus slack for the eviction
 	// being driven lazily by observation times.
-	horizon := int(r.cfg.MaxAge/ids.Hour) + 8
+	horizon := int(r.maxAge/ids.Hour) + 8
 	liveStates, liveCounts := 0, 0
 	for tw, st := range r.states {
 		if st != nil {
@@ -97,12 +97,12 @@ func assertBounded(t *testing.T, r *Recommender, ds *dataset.Dataset, now ids.Ti
 		t.Errorf("evictQueue length %d never compacted", len(r.evictQueue))
 	}
 	for tw, st := range r.states {
-		if st != nil && now-ds.Tweets[tw].Time > r.cfg.MaxAge {
+		if st != nil && now-ds.Tweets[tw].Time > r.maxAge {
 			t.Fatalf("zombie state for tweet %d (age %d h)", tw, (now-ds.Tweets[tw].Time)/ids.Hour)
 		}
 	}
 	for tw, c := range r.counts {
-		if c != 0 && now-ds.Tweets[tw].Time > r.cfg.MaxAge {
+		if c != 0 && now-ds.Tweets[tw].Time > r.maxAge {
 			t.Fatalf("zombie count for tweet %d", tw)
 		}
 	}
@@ -142,7 +142,7 @@ func TestLateRetweetDoesNotResurrectState(t *testing.T) {
 	}
 	now := ds.Actions[len(ds.Actions)-1].Time
 	const old = ids.TweetID(0) // published ~400h ago, far past MaxAge
-	if now-ds.Tweets[old].Time <= r.cfg.MaxAge {
+	if now-ds.Tweets[old].Time <= ctx.MaxAge {
 		t.Fatal("test setup: tweet 0 still fresh")
 	}
 	r.Observe(dataset.Action{User: 5, Tweet: old, Time: now})

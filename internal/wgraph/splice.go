@@ -84,3 +84,15 @@ func SpliceOuts(g *Graph, runs []OutRun) *Graph {
 func SortRun(r OutRun) {
 	sort.Sort(&pairSorter{r.To, r.W})
 }
+
+type pairSorter struct {
+	ids []ids.UserID
+	ws  []float32
+}
+
+func (p *pairSorter) Len() int           { return len(p.ids) }
+func (p *pairSorter) Less(i, j int) bool { return p.ids[i] < p.ids[j] }
+func (p *pairSorter) Swap(i, j int) {
+	p.ids[i], p.ids[j] = p.ids[j], p.ids[i]
+	p.ws[i], p.ws[j] = p.ws[j], p.ws[i]
+}

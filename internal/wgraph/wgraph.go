@@ -2,10 +2,10 @@
 // form. It backs the similarity graph: an edge u→v with weight sim(u,v)
 // means "v is an influential user of u" (v ∈ Fu in the paper's notation).
 //
-// Besides the frozen CSR core, the package supports cheap incremental
-// maintenance through an Overlay that records edge weight updates and
-// additions without rebuilding the CSR arrays, which is what the paper's
-// "SimGraph update" and "crossfold" strategies need.
+// A graph is never mutated. Incremental maintenance (the paper's
+// "SimGraph update" and "crossfold" strategies, and every engine refresh)
+// builds a new graph with SpliceOuts, which replaces the out-edge runs of
+// the changed users and copies the rest of the CSR arrays.
 package wgraph
 
 import (

@@ -127,82 +127,3 @@ func TestInOutConsistency(t *testing.T) {
 		t.Error(err)
 	}
 }
-
-func TestOverlayReadThrough(t *testing.T) {
-	g := triangle()
-	o := NewOverlay(g)
-	// Untouched nodes read the base.
-	to, w := o.Out(0)
-	if !reflect.DeepEqual(to, []ids.UserID{1}) || w[0] != 0.5 {
-		t.Fatalf("overlay Out(0) = %v %v", to, w)
-	}
-	if o.NumEdges() != 3 {
-		t.Fatalf("NumEdges = %d", o.NumEdges())
-	}
-}
-
-func TestOverlayUpdateAndAdd(t *testing.T) {
-	g := triangle()
-	o := NewOverlay(g)
-	o.SetEdge(0, 1, 0.9) // reweight existing
-	o.SetEdge(0, 2, 0.2) // new edge
-	if o.NumEdges() != 4 {
-		t.Fatalf("NumEdges = %d, want 4", o.NumEdges())
-	}
-	to, w := o.Out(0)
-	if !reflect.DeepEqual(to, []ids.UserID{1, 2}) {
-		t.Fatalf("Out(0) = %v", to)
-	}
-	if w[0] != 0.9 || w[1] != 0.2 {
-		t.Fatalf("weights = %v", w)
-	}
-	from, wi := o.In(2)
-	// base had 1→2 (0.25); overlay adds 0→2 (0.2).
-	if !reflect.DeepEqual(from, []ids.UserID{0, 1}) || wi[0] != 0.2 || wi[1] != 0.25 {
-		t.Fatalf("In(2) = %v %v", from, wi)
-	}
-}
-
-func TestOverlayFreezeMatchesView(t *testing.T) {
-	f := func(seed uint64) bool {
-		rng := xrand.New(seed)
-		b := NewBuilder(20, 60)
-		b.SetNumNodes(20)
-		for i := 0; i < 60; i++ {
-			b.AddEdge(ids.UserID(rng.Intn(20)), ids.UserID(rng.Intn(20)), float32(rng.Float64()))
-		}
-		g := b.Build()
-		o := NewOverlay(g)
-		for i := 0; i < 25; i++ {
-			o.SetEdge(ids.UserID(rng.Intn(20)), ids.UserID(rng.Intn(20)), float32(rng.Float64()))
-		}
-		frozen := o.Freeze()
-		if frozen.NumEdges() != o.NumEdges() {
-			return false
-		}
-		for u := 0; u < 20; u++ {
-			to1, w1 := o.Out(ids.UserID(u))
-			to2, w2 := frozen.Out(ids.UserID(u))
-			if !reflect.DeepEqual(to1, to2) || !reflect.DeepEqual(w1, w2) {
-				return false
-			}
-			f1, wi1 := o.In(ids.UserID(u))
-			f2, wi2 := frozen.In(ids.UserID(u))
-			if !reflect.DeepEqual(f1, f2) || !reflect.DeepEqual(wi1, wi2) {
-				return false
-			}
-		}
-		return true
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 30}); err != nil {
-		t.Error(err)
-	}
-}
-
-func TestOverlayIgnoresSelfLoop(t *testing.T) {
-	o := NewOverlay(triangle())
-	o.SetEdge(1, 1, 0.4)
-	if o.NumEdges() != 3 {
-		t.Error("self loop added through overlay")
-	}
-}

@@ -1,6 +1,6 @@
 // Package xrand provides a small, fast, deterministic random number
 // generator plus the heavy-tailed samplers the synthetic Twitter generator
-// needs (Zipf, discrete power law, bounded Pareto, weighted choice).
+// needs (Zipf, bounded Pareto, weighted choice).
 //
 // math/rand would work, but a self-contained splitmix64/xoshiro generator
 // guarantees the same stream on every platform and Go release, which is

@@ -108,24 +108,6 @@ func (z *Zipf) Rank() int {
 	}
 }
 
-// PowerLawInts returns n integer samples whose distribution follows a
-// discrete power law with tail exponent alpha over [lo, hi]. It is a
-// convenience built on bounded Pareto sampling and rounding.
-func PowerLawInts(rng *RNG, n int, alpha float64, lo, hi int) []int {
-	out := make([]int, n)
-	for i := range out {
-		v := int(rng.Pareto(alpha, float64(lo), float64(hi)) + 0.5)
-		if v < lo {
-			v = lo
-		}
-		if v > hi {
-			v = hi
-		}
-		out[i] = v
-	}
-	return out
-}
-
 // WeightedChoice samples indices in proportion to non-negative weights
 // using the alias method: O(n) build, O(1) per sample.
 type WeightedChoice struct {

@@ -129,13 +129,3 @@ func TestWeightedChoicePanics(t *testing.T) {
 		})
 	}
 }
-
-func TestPowerLawInts(t *testing.T) {
-	r := New(7)
-	vs := PowerLawInts(r, 10000, 1.3, 2, 500)
-	for _, v := range vs {
-		if v < 2 || v > 500 {
-			t.Fatalf("value %d out of [2,500]", v)
-		}
-	}
-}

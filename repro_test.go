@@ -158,7 +158,7 @@ func influentialSeeds(eng *Engine, n int) []UserID {
 
 // denseFixpoint is the literal Algorithm 1: full Jacobi sweeps over every
 // non-seed user until no score moves by more than tol.
-func denseFixpoint(g wgraph.View, seeds []UserID, tol float64, maxIter int) []float64 {
+func denseFixpoint(g *wgraph.Graph, seeds []UserID, tol float64, maxIter int) []float64 {
 	n := g.NumNodes()
 	p, next := make([]float64, n), make([]float64, n)
 	isSeed := make([]bool, n)
