@@ -12,6 +12,7 @@ package repro
 import (
 	"sync"
 	"testing"
+	"time"
 
 	"repro/internal/dataset"
 	"repro/internal/eval"
@@ -314,6 +315,66 @@ func BenchmarkFigure16UpdateStrategies(b *testing.B) {
 // refreshObserve is how many trailing dataset actions each refresh
 // benchmark iteration streams into its engine before refreshing.
 const refreshObserve = 2000
+
+// Steady-state refresh, the shape of the serving node's background
+// refresher: one engine at 3 000 users (0.9 train split) warmed with a
+// 10 000-action stream prefix, then each iteration streams the next
+// refreshBatch actions and runs an incremental refresh. Per refresh it
+// reports the graph build, the single-threaded replay (the refresh's
+// wall time minus build, write stall and lock hold), the dirty-set size
+// and the actions replayed. The set-up generates its own dataset, so
+// pass a small fixed count (-benchtime=10x).
+func BenchmarkRefreshSteady(b *testing.B) {
+	const (
+		users        = 3000
+		preload      = 10000
+		refreshBatch = 200
+	)
+	ds, err := GenerateDataset(DatasetOptions{Users: users, Seed: benchSeed})
+	if err != nil {
+		b.Fatal(err)
+	}
+	train, test, err := SplitDataset(ds, 0.9)
+	if err != nil {
+		b.Fatal(err)
+	}
+	if need := preload + b.N*refreshBatch; len(test) < need {
+		b.Fatalf("test stream has %d actions, %d iterations need %d", len(test), b.N, need)
+	}
+	opts := DefaultEngineOptions()
+	opts.Train = train
+	eng, err := NewEngine(ds, opts)
+	if err != nil {
+		b.Fatal(err)
+	}
+	observe := func(actions []Action) {
+		for _, err := range eng.ObserveBatch(actions) {
+			if err != nil {
+				b.Fatal(err)
+			}
+		}
+	}
+	observe(test[:preload])
+	eng.RefreshGraphStats(UpdateIncremental) // absorb the preload's dirty set
+	stream := test[preload:]
+	b.ResetTimer()
+	var build, replay, dirty, replayed float64
+	for i := 0; i < b.N; i++ {
+		observe(stream[i*refreshBatch : (i+1)*refreshBatch])
+		start := time.Now()
+		st := eng.RefreshGraphStats(UpdateIncremental)
+		wall := time.Since(start)
+		build += float64(st.BuildTime.Microseconds()) / 1e3
+		replay += float64((wall - st.BuildTime - st.WriteStall - st.LockHold).Microseconds()) / 1e3
+		dirty += float64(st.DirtyUsers)
+		replayed += float64(st.Replayed)
+	}
+	n := float64(b.N)
+	b.ReportMetric(build/n, "build-ms")
+	b.ReportMetric(replay/n, "replay-ms")
+	b.ReportMetric(dirty/n, "dirty-users")
+	b.ReportMetric(replayed/n, "replayed")
+}
 
 // ---------------------------------------------------------------------------
 // Ablations (DESIGN.md §5)

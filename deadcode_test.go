@@ -21,8 +21,6 @@ var testOnlyAllowed = map[string]string{
 	"similarity.Store.Retweeters":   "one-line accessor that pins the incrementally maintained posting lists in tests",
 	"propagation.NewRefIncremental": "reference kernel that tests in propagation and simgraph compare against",
 	"propagation.NewRefState":       "reference kernel state that tests in propagation and simgraph compare against",
-	"xrand.RNG.Geometric":           "test-only sampler; its deletion, with TestGeometric, is ROADMAP 18c",
-	"xrand.RNG.Poisson":             "test-only sampler; its deletion, with TestPoissonMean, is ROADMAP 18c",
 	"linalg":                        "test-only oracle: propagation's tests solve Ap = b with it (PAPER.md §5.2)",
 }
 

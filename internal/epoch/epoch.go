@@ -2,9 +2,8 @@
 // Has/Add/Del are O(1) array probes and Reset invalidates every mark
 // with one epoch bump instead of a clear. The propagation kernel uses
 // them for its per-retweet frontier state and the dataset generator for
-// its per-tweet cascade marks — the same trick similarity.BatchScratch
-// uses for SimBatch. The backing array pays an O(n) clear only once per
-// 2^32 resets, when the epoch counter wraps.
+// its per-tweet cascade marks. The backing array pays an O(n) clear only
+// once per 2^32 resets, when the epoch counter wraps.
 package epoch
 
 import "repro/internal/ids"

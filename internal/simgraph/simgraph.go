@@ -234,7 +234,7 @@ func appendEdgesFor(edges []wgraph.Edge, follow *graph.Graph, store *similarity.
 	nodes = capNeighborhood(nodes, dist, cfg.MaxNeighborhood)
 
 	// Users with empty profiles can never clear tau; dropping them here
-	// keeps them out of the similarity kernel's membership array.
+	// spares the similarity kernel their finalization.
 	cands := sc.cands[:0]
 	for _, w := range nodes {
 		if store.ProfileSize(w) > 0 {

@@ -193,49 +193,27 @@ func (s *Store) SimBatchClustered(u ids.UserID, candidates []ids.UserID, labels 
 	}
 	s.mBatch.Inc()
 
-	sc.begin(len(s.profiles), len(candidates))
-	dupes := false
-	for i, w := range candidates {
-		if sc.stamp[w] == sc.epoch {
-			dupes = true
-		}
-		sc.stamp[w] = sc.epoch
-		sc.slot[w] = int32(i)
-		sc.num[i] = 0
-		sc.inter[i] = 0
-	}
-
-	// Scatter pass: ascending-tweet outer walk keeps each candidate's
-	// float64 additions in the exact pairwise-merge order; within one
-	// tweet only the candidates' label groups (the recorded spans) are
-	// visited.
+	// Scatter pass: ascending-tweet outer walk keeps each user's float64
+	// additions in the exact pairwise-merge order; within one tweet only
+	// the candidates' label groups (the recorded spans) are visited.
+	sc.grow(len(s.profiles))
+	num, inter := sc.num, sc.inter
 	for ti, t := range pu {
 		wt := float64(s.weights[t])
 		for si := sc.spanOff[ti]; si < sc.spanOff[ti+1]; si++ {
 			for _, w := range idx.users[sc.spanStart[si]:sc.spanEnd[si]] {
-				if sc.stamp[w] == sc.epoch {
-					j := sc.slot[w]
-					sc.num[j] += wt
-					sc.inter[j]++
-				}
+				num[w] += wt
+				inter[w]++
 			}
 		}
 	}
-
-	for i, w := range candidates {
-		if dupes && sc.slot[w] != int32(i) {
-			continue
-		}
-		var sim float64
-		if inter := sc.inter[i]; inter > 0 {
-			union := len(pu) + len(s.profiles[w]) - int(inter)
-			sim = sc.num[i] / float64(union)
-		}
-		out[i] = sim
-	}
-	if dupes {
-		for i, w := range candidates {
-			out[i] = out[sc.slot[w]]
+	s.finish(len(pu), candidates, sc, out)
+	if !sc.clearAll(scatterCost) {
+		for si := range sc.spanStart {
+			for _, w := range idx.users[sc.spanStart[si]:sc.spanEnd[si]] {
+				num[w] = 0
+				inter[w] = 0
+			}
 		}
 	}
 	return out

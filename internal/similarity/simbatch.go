@@ -5,10 +5,11 @@ import "repro/internal/ids"
 // SimBatch is the inverted-index similarity kernel behind SimGraph
 // construction. Where Sim merges two sorted profiles per pair — costing
 // O(Σ_w |Lu|+|Lw|) over a candidate neighbourhood — SimBatch computes
-// sim(u, w) for every candidate w in one pass: candidates are marked in
-// an epoch-stamped membership array, then u's profile is walked once and
-// each tweet's popularity weight is scattered into the accumulator of
-// every candidate on its posting list. Total work is
+// sim(u, w) for every candidate w in one pass: u's profile is walked
+// once and each tweet's popularity weight is added, with no membership
+// test, into the dense per-user accumulator of every user on its
+// posting list; the candidates' accumulators are then read and the
+// touched entries zeroed. Total work is
 // O(|C| + Σ_{t∈Lu} |retweeters(t)|), shared across the whole candidate
 // set instead of paid per pair.
 //
@@ -24,13 +25,9 @@ import "repro/internal/ids"
 // callers, but any number of goroutines may run SimBatch on the same
 // (quiescent) Store with their own scratches.
 type BatchScratch struct {
-	// epoch stamps candidate membership: stamp[w] == epoch means w is a
-	// candidate of the current call, and slot[w] is its index. Bumping
-	// the epoch invalidates the whole array in O(1) — no per-call clear.
-	epoch uint32
-	stamp []uint32
-	slot  []int32
-	// Per-candidate accumulators: weighted intersection and its size.
+	// Dense per-user accumulators, indexed by user id: the weighted
+	// intersection with the current source and its size. Every entry is
+	// zero between calls; a call zeroes exactly what its scatter touched.
 	num   []float64
 	inter []int32
 	// Matched-group spans recorded by SimBatchClustered's directory
@@ -41,34 +38,43 @@ type BatchScratch struct {
 	spanEnd   []int32
 }
 
-// begin prepares the scratch for a call with the given store width and
-// candidate count.
-func (sc *BatchScratch) begin(numUsers, numCands int) {
-	if len(sc.stamp) < numUsers {
-		sc.stamp = make([]uint32, numUsers)
-		sc.slot = make([]int32, numUsers)
-		sc.epoch = 0
+// grow sizes the accumulators to the store width. New entries are zero,
+// and existing ones are zero by the between-calls invariant.
+func (sc *BatchScratch) grow(numUsers int) {
+	if len(sc.num) < numUsers {
+		sc.num = make([]float64, numUsers)
+		sc.inter = make([]int32, numUsers)
 	}
-	sc.epoch++
-	if sc.epoch == 0 { // wrapped after 2^32 calls: clear and restart
-		for i := range sc.stamp {
-			sc.stamp[i] = 0
-		}
-		sc.epoch = 1
+}
+
+// finish writes sim(u, w) for every candidate from the accumulators.
+// Duplicate candidates read the same entry, so they get the same answer.
+// The union is at least lu > 0, and a disjoint candidate's sum is +0, so
+// it scores exactly Sim's 0.
+func (s *Store) finish(lu int, candidates []ids.UserID, sc *BatchScratch, out []float64) {
+	for i, w := range candidates {
+		union := lu + len(s.profiles[w]) - int(sc.inter[w])
+		out[i] = sc.num[w] / float64(union)
 	}
-	if cap(sc.num) < numCands {
-		sc.num = make([]float64, numCands)
-		sc.inter = make([]int32, numCands)
+}
+
+// clearAll reports whether zeroing the whole accumulator arrays is no
+// dearer than re-walking the scatterCost postings that touched them.
+func (sc *BatchScratch) clearAll(scatterCost int) bool {
+	if scatterCost < len(sc.num) {
+		return false
 	}
-	sc.num = sc.num[:numCands]
-	sc.inter = sc.inter[:numCands]
+	clear(sc.num)
+	clear(sc.inter)
+	return true
 }
 
 // SimBatch computes sim(u, w) for every w in candidates, bit-identical
-// to calling Sim(u, w) per pair. Results are written into out (grown if
-// too small) and returned. sc may be nil for one-off calls; passing a
-// reused scratch makes the call allocation-free. The Store must be
-// quiescent (no concurrent Observe), as for all read methods.
+// to calling Sim(u, w) per pair; candidates may repeat and may include
+// u. Results are written into out (grown if too small) and returned. sc
+// may be nil for one-off calls; passing a reused scratch makes the call
+// allocation-free. The Store must be quiescent (no concurrent Observe),
+// as for all read methods.
 func (s *Store) SimBatch(u ids.UserID, candidates []ids.UserID, sc *BatchScratch, out []float64) []float64 {
 	if cap(out) < len(candidates) {
 		out = make([]float64, len(candidates))
@@ -110,46 +116,25 @@ func (s *Store) SimBatch(u ids.UserID, candidates []ids.UserID, sc *BatchScratch
 	}
 	s.mBatch.Inc()
 
-	sc.begin(len(s.profiles), len(candidates))
-	dupes := false
-	for i, w := range candidates {
-		if sc.stamp[w] == sc.epoch {
-			dupes = true // later occurrence wins the slot; fixed up below
-		}
-		sc.stamp[w] = sc.epoch
-		sc.slot[w] = int32(i)
-		sc.num[i] = 0
-		sc.inter[i] = 0
-	}
-
 	// Scatter pass: ascending-tweet walk over u's profile keeps each
-	// candidate's float64 additions in the exact order of the pairwise
-	// sorted merge.
+	// user's float64 additions in the exact order of the pairwise sorted
+	// merge.
+	sc.grow(len(s.profiles))
+	num, inter := sc.num, sc.inter
 	for _, t := range pu {
 		wt := float64(s.weights[t])
 		for _, w := range s.postings[t] {
-			if sc.stamp[w] == sc.epoch {
-				j := sc.slot[w]
-				sc.num[j] += wt
-				sc.inter[j]++
+			num[w] += wt
+			inter[w]++
+		}
+	}
+	s.finish(len(pu), candidates, sc, out)
+	if !sc.clearAll(scatterCost) {
+		for _, t := range pu {
+			for _, w := range s.postings[t] {
+				num[w] = 0
+				inter[w] = 0
 			}
-		}
-	}
-
-	for i, w := range candidates {
-		if dupes && sc.slot[w] != int32(i) {
-			continue // duplicate candidate: copied from its winning slot below
-		}
-		var sim float64
-		if inter := sc.inter[i]; inter > 0 {
-			union := len(pu) + len(s.profiles[w]) - int(inter)
-			sim = sc.num[i] / float64(union)
-		}
-		out[i] = sim
-	}
-	if dupes {
-		for i, w := range candidates {
-			out[i] = out[sc.slot[w]]
 		}
 	}
 	return out

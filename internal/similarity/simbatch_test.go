@@ -1,12 +1,14 @@
 package similarity
 
 import (
+	"math"
 	"sync"
 	"testing"
 	"testing/quick"
 
 	"repro/internal/dataset"
 	"repro/internal/ids"
+	"repro/internal/metrics"
 	"repro/internal/xrand"
 )
 
@@ -122,8 +124,9 @@ func TestSimBatchEmptyInputs(t *testing.T) {
 	}
 }
 
-// Fuzz: same oracle property, driven by the fuzzing engine. The seed
-// corpus runs under plain `go test`.
+// Fuzz: same oracle property, driven by the fuzzing engine, against a
+// random candidate multiset (duplicates, u itself, empty profiles). The
+// seed corpus runs under plain `go test`.
 func FuzzSimBatch(f *testing.F) {
 	f.Add(uint64(1), uint8(8))
 	f.Add(uint64(42), uint8(31))
@@ -138,8 +141,11 @@ func FuzzSimBatch(f *testing.F) {
 		}
 		var sc BatchScratch
 		var out []float64
-		cands := allUsers(users)
 		for u := 0; u < users; u++ {
+			cands := make([]ids.UserID, 1+rng.Intn(2*users))
+			for i := range cands {
+				cands[i] = ids.UserID(rng.Intn(users))
+			}
 			out = s.SimBatch(ids.UserID(u), cands, &sc, out)
 			for i, w := range cands {
 				if out[i] != s.Sim(ids.UserID(u), w) {
@@ -148,6 +154,109 @@ func FuzzSimBatch(f *testing.F) {
 			}
 		}
 	})
+}
+
+// TestSimBatchScratchReuse drives one scratch through many calls of both
+// kernels, checking every answer bitwise against Sim and, after every
+// call, that the dense accumulators read all zero again: the next call's
+// scatter starts from that invariant. The calls cover both clear paths
+// (posting mass below and at or above the store width), duplicate
+// candidates, u among its own candidates, candidates with empty
+// profiles, and Observe calls in between.
+func TestSimBatchScratchReuse(t *testing.T) {
+	const users, active, tweets, numLabels = 120, 100, 300, 4
+	rng := xrand.New(5)
+	// Skewed tweet choice gives the popular tweets long posting lists, so
+	// some sources' posting mass reaches the store width; users from
+	// active on never retweet, so their profiles stay empty.
+	skewed := func() ids.TweetID {
+		z := rng.Float64()
+		return ids.TweetID(z * z * tweets)
+	}
+	var log []dataset.Action
+	for i := 0; i < 1500; i++ {
+		log = append(log, dataset.Action{User: ids.UserID(rng.Intn(active)), Tweet: skewed(), Time: ids.Timestamp(i)})
+	}
+	s := NewStore(users, tweets, log)
+	batch, fallback := new(metrics.Counter), new(metrics.Counter)
+	s.Instrument(batch, fallback)
+	labelOf := make([]int32, users)
+	for u := range labelOf {
+		labelOf[u] = int32(u%(numLabels+1)) - 1 // every fifth user unlabelled
+	}
+
+	var sc BatchScratch
+	var out []float64
+	var below, above [2]int // scatter calls per clear path, per kernel
+	checkCall := func(kernel int, u ids.UserID, cands []ids.UserID, scatterCost int, before uint64) {
+		t.Helper()
+		for i, w := range cands {
+			if want := s.Sim(u, w); math.Float64bits(out[i]) != math.Float64bits(want) {
+				t.Fatalf("kernel %d: sim(%d, %d) = %v, pairwise Sim = %v", kernel, u, w, out[i], want)
+			}
+		}
+		for w := range sc.num {
+			if sc.num[w] != 0 || sc.inter[w] != 0 {
+				t.Fatalf("kernel %d, source %d: accumulator of user %d left at (%v, %d)", kernel, u, w, sc.num[w], sc.inter[w])
+			}
+		}
+		if batch.Value() > before { // the scatter pass ran
+			if scatterCost < users {
+				below[kernel]++
+			} else {
+				above[kernel]++
+			}
+		}
+	}
+	for round := 0; round < 30; round++ {
+		for i := 0; i < 20; i++ { // tweets beyond the initial range exercise growth
+			s.Observe(ids.UserID(rng.Intn(active)), ids.TweetID(rng.Intn(tweets+20)))
+		}
+		idx := s.BuildClusterIndex(labelOf, numLabels)
+		for u := ids.UserID(0); u < users; u += 3 {
+			// A candidate multiset over every user, u and empty profiles
+			// included; its size spans both sides of the cost guard.
+			cands := make([]ids.UserID, 1+rng.Intn(2*users))
+			for i := range cands {
+				cands[i] = ids.UserID(rng.Intn(users))
+			}
+			cands = append(cands, u, cands[0])
+
+			var scatterCost int
+			for _, tw := range s.Profile(u) {
+				scatterCost += len(s.Retweeters(tw))
+			}
+			before := batch.Value()
+			out = s.SimBatch(u, cands, &sc, out)
+			checkCall(0, u, cands, scatterCost, before)
+
+			var seen [numLabels + 1]bool
+			for _, w := range cands {
+				seen[labelOf[w]+1] = true
+			}
+			var labels []int32
+			for l, ok := range seen {
+				if ok {
+					labels = append(labels, int32(l-1))
+				}
+			}
+			before = batch.Value()
+			out = s.SimBatchClustered(u, cands, labels, idx, &sc, out)
+			scatterCost = 0
+			for i := range sc.spanStart {
+				scatterCost += int(sc.spanEnd[i] - sc.spanStart[i])
+			}
+			checkCall(1, u, cands, scatterCost, before)
+		}
+	}
+	for kernel, name := range []string{"SimBatch", "SimBatchClustered"} {
+		if below[kernel] == 0 || above[kernel] == 0 {
+			t.Errorf("%s: scatter calls with posting mass below/at-or-above the store width = %d/%d, want both > 0", name, below[kernel], above[kernel])
+		}
+	}
+	if fallback.Value() == 0 {
+		t.Error("no call took the pairwise fallback")
+	}
 }
 
 // Concurrent SimBatch readers with private scratches must be race-free

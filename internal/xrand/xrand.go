@@ -73,18 +73,6 @@ func (r *RNG) Float64() float64 {
 // Bool returns true with probability p.
 func (r *RNG) Bool(p float64) bool { return r.Float64() < p }
 
-// NormFloat64 returns a standard normal sample (Marsaglia polar method).
-func (r *RNG) NormFloat64() float64 {
-	for {
-		u := 2*r.Float64() - 1
-		v := 2*r.Float64() - 1
-		s := u*u + v*v
-		if s > 0 && s < 1 {
-			return u * math.Sqrt(-2*math.Log(s)/s)
-		}
-	}
-}
-
 // Exp returns an exponential sample with the given mean. Mean must be > 0.
 func (r *RNG) Exp(mean float64) float64 {
 	u := r.Float64()
@@ -104,46 +92,6 @@ func (r *RNG) Pareto(alpha, lo, hi float64) float64 {
 	la := math.Pow(lo, alpha)
 	ha := math.Pow(hi, alpha)
 	return math.Pow(-(u*ha-u*la-ha)/(ha*la), -1/alpha)
-}
-
-// Geometric returns the number of failures before the first success of a
-// Bernoulli(p) trial, i.e. a sample in {0,1,2,...}. p must be in (0,1].
-func (r *RNG) Geometric(p float64) int {
-	if p >= 1 {
-		return 0
-	}
-	if p <= 0 {
-		panic("xrand: Geometric requires p in (0,1]")
-	}
-	u := r.Float64()
-	for u == 0 {
-		u = r.Float64()
-	}
-	return int(math.Floor(math.Log(u) / math.Log(1-p)))
-}
-
-// Poisson returns a Poisson sample with the given mean (Knuth's method for
-// small means, normal approximation above 64 to stay O(1)).
-func (r *RNG) Poisson(mean float64) int {
-	if mean <= 0 {
-		return 0
-	}
-	if mean > 64 {
-		n := int(mean + math.Sqrt(mean)*r.NormFloat64() + 0.5)
-		if n < 0 {
-			n = 0
-		}
-		return n
-	}
-	l := math.Exp(-mean)
-	k, p := 0, 1.0
-	for {
-		p *= r.Float64()
-		if p <= l {
-			return k
-		}
-		k++
-	}
 }
 
 // Shuffle permutes the n elements addressed by swap uniformly at random

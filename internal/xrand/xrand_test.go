@@ -117,57 +117,6 @@ func TestExpMean(t *testing.T) {
 	}
 }
 
-func TestGeometric(t *testing.T) {
-	r := New(9)
-	if v := r.Geometric(1); v != 0 {
-		t.Errorf("Geometric(1) = %d, want 0", v)
-	}
-	var sum float64
-	const n = 100000
-	for i := 0; i < n; i++ {
-		sum += float64(r.Geometric(0.25))
-	}
-	// Mean of failures-before-success is (1-p)/p = 3.
-	if mean := sum / n; math.Abs(mean-3) > 0.15 {
-		t.Errorf("Geometric(0.25) mean %v, want ≈3", mean)
-	}
-}
-
-func TestPoissonMean(t *testing.T) {
-	r := New(10)
-	for _, mean := range []float64{0.5, 4, 30, 200} {
-		var sum float64
-		const n = 50000
-		for i := 0; i < n; i++ {
-			sum += float64(r.Poisson(mean))
-		}
-		got := sum / n
-		if math.Abs(got-mean) > mean*0.05+0.1 {
-			t.Errorf("Poisson(%v) mean %v", mean, got)
-		}
-	}
-	if v := r.Poisson(0); v != 0 {
-		t.Errorf("Poisson(0) = %d", v)
-	}
-}
-
-func TestNormFloat64Moments(t *testing.T) {
-	r := New(11)
-	var sum, sq float64
-	const n = 200000
-	for i := 0; i < n; i++ {
-		v := r.NormFloat64()
-		sum += v
-		sq += v * v
-	}
-	if mean := sum / n; math.Abs(mean) > 0.02 {
-		t.Errorf("normal mean %v, want ≈0", mean)
-	}
-	if variance := sq / n; math.Abs(variance-1) > 0.03 {
-		t.Errorf("normal variance %v, want ≈1", variance)
-	}
-}
-
 func TestPermIsPermutation(t *testing.T) {
 	r := New(12)
 	p := r.Perm(100)
